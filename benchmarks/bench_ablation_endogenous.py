@@ -9,7 +9,7 @@ iteration (slower) without improving quality.
 import pytest
 
 from repro.core.greedy import greedy_curve
-from repro.engine.evaluate import evaluate_in_context as evaluate
+from repro.session import Session
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import generate_tpch
 
@@ -19,7 +19,7 @@ RATIO = 0.25
 @pytest.fixture(scope="module")
 def instance():
     database = generate_tpch(total_tuples=300, seed=7)
-    total = evaluate(Q1, database).output_count()
+    total = Session(database).output_size(Q1)
     return database, max(1, int(RATIO * total))
 
 
@@ -27,9 +27,10 @@ def instance():
 def test_ablation_greedy_candidate_restriction(benchmark, instance, endogenous_only):
     database, k = instance
 
-    cost = benchmark(
-        lambda: greedy_curve(Q1, database, kmax=k, endogenous_only=endogenous_only).cost(k)
-    )
+    with Session(database).activate():
+        cost = benchmark(
+            lambda: greedy_curve(Q1, database, kmax=k, endogenous_only=endogenous_only).cost(k)
+        )
     benchmark.extra_info.update(
         {"ablation": "endogenous-restriction", "endogenous_only": endogenous_only, "k": k, "cost": cost}
     )

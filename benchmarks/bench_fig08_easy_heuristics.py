@@ -10,6 +10,7 @@ import pytest
 from benchmarks.conftest import RATIOS
 from repro.core.adp import ADPSolver
 from repro.core.selection import solve_with_selection
+from repro.session import Session
 from repro.workloads.queries import Q1
 
 
@@ -20,14 +21,16 @@ def test_fig08_selected_q1_methods(benchmark, tpch_selected, ratio, method):
     k = max(1, int(ratio * prepared["selected_output"]))
 
     if method == "exact":
-        solution = benchmark(
-            lambda: solve_with_selection(
-                Q1, prepared["selection"], prepared["database"], k, solver=ADPSolver()
+        with Session(prepared["database"]).activate():
+            solution = benchmark(
+                lambda: solve_with_selection(
+                    Q1, prepared["selection"], prepared["database"], k, solver=ADPSolver()
+                )
             )
-        )
     else:
         solver = ADPSolver(heuristic=method)
-        solution = benchmark(lambda: solver.solve_in_context(Q1, prepared["filtered"], k))
+        session = Session(prepared["filtered"])
+        solution = benchmark(lambda: session.solve(Q1, k, solver=solver))
 
     benchmark.extra_info.update(
         {

@@ -9,7 +9,7 @@ import pytest
 
 from benchmarks.conftest import RATIOS, TPCH_SIZES, solve_once
 from repro.core.adp import ADPSolver
-from repro.engine.evaluate import evaluate_in_context as evaluate
+from repro.session import Session
 from repro.workloads.queries import Q1
 
 
@@ -18,7 +18,7 @@ from repro.workloads.queries import Q1
 @pytest.mark.parametrize("method", ["greedy", "drastic"])
 def test_fig10_q1_heuristics(benchmark, tpch_instances, size, ratio, method):
     database = tpch_instances[size]
-    total = evaluate(Q1, database).output_count()
+    total = Session(database).output_size(Q1)
     k = max(1, int(ratio * total))
     solver = ADPSolver(heuristic=method)
 

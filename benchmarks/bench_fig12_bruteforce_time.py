@@ -10,6 +10,7 @@ import pytest
 from repro.core.adp import ADPSolver
 from repro.core.bruteforce import bruteforce_solve
 from repro.experiments.harness import target_from_ratio
+from repro.session import Session
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import generate_tpch
 
@@ -27,14 +28,16 @@ def small_instance():
 @pytest.mark.parametrize("method", ["bruteforce", "greedy", "drastic"])
 def test_fig12_bruteforce_vs_heuristics(benchmark, small_instance, method):
     database, k = small_instance
+    session = Session(database)
 
     if method == "bruteforce":
-        solution = benchmark(
-            lambda: bruteforce_solve(Q1, database, k, max_candidates=2000)
-        )
+        with session.activate():
+            solution = benchmark(
+                lambda: bruteforce_solve(Q1, database, k, max_candidates=2000)
+            )
     else:
         solver = ADPSolver(heuristic=method)
-        solution = benchmark(lambda: solver.solve_in_context(Q1, database, k))
+        solution = benchmark(lambda: session.solve(Q1, k, solver=solver))
 
     benchmark.extra_info.update(
         {
@@ -76,7 +79,6 @@ def test_backend_numpy_speedup_at_scale(benchmark):
 
     from repro.engine.backend import numpy_available
     from repro.query.parser import parse_query
-    from repro.session import Session
     from repro.workloads.zipf import generate_zipf_path
 
     if not numpy_available():

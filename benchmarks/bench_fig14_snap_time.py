@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks.conftest import solve_once
 from repro.core.adp import ADPSolver
-from repro.engine.evaluate import evaluate_in_context as evaluate
+from repro.session import Session
 from repro.workloads.queries import Q2, Q3, Q4, Q5
 
 RATIO = 0.25
@@ -30,7 +30,7 @@ QUERY_METHODS = [
 )
 def test_fig14_ego_network_heuristics(benchmark, ego_network, query, method):
     database = ego_network.aligned_to(query)
-    total = evaluate(query, database).output_count()
+    total = Session(database).output_size(query)
     if total == 0:
         pytest.skip(f"{query.name} has no results on the scaled-down network")
     k = max(1, int(RATIO * total))

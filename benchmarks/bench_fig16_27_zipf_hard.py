@@ -13,7 +13,7 @@ import pytest
 
 from benchmarks.conftest import solve_once
 from repro.core.adp import ADPSolver
-from repro.engine.evaluate import evaluate_in_context as evaluate
+from repro.session import Session
 from repro.workloads.queries import QPATH_EXP
 
 ALPHAS = (0.0, 0.25, 0.5, 1.0)
@@ -24,7 +24,7 @@ RATIO = 0.5
 @pytest.mark.parametrize("method", ["greedy", "drastic"])
 def test_fig16_27_zipf_qpath(benchmark, zipf_instances, alpha, method):
     database = zipf_instances[alpha]
-    total = evaluate(QPATH_EXP, database).output_count()
+    total = Session(database).output_size(QPATH_EXP)
     k = max(1, int(RATIO * total))
     solver = ADPSolver(heuristic=method)
 
@@ -42,9 +42,9 @@ def test_fig16_27_skew_reduces_solution_size(benchmark, zipf_instances):
     def sweep():
         sizes = {}
         for alpha, database in zipf_instances.items():
-            total = evaluate(QPATH_EXP, database).output_count()
-            k = max(1, int(RATIO * total))
-            sizes[alpha] = solver.solve_in_context(QPATH_EXP, database, k).size
+            session = Session(database)
+            k = max(1, int(RATIO * session.output_size(QPATH_EXP)))
+            sizes[alpha] = session.solve(QPATH_EXP, k, solver=solver).size
         return sizes
 
     sizes = benchmark(sweep)

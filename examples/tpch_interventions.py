@@ -19,7 +19,13 @@ Two variants are compared, exactly as in Figures 7-11:
 Run with:  python examples/tpch_interventions.py
 """
 
-from repro import ADPSolver, Selection, evaluate, is_poly_time_with_selection, solve_with_selection
+from repro import (
+    ADPSolver,
+    Selection,
+    Session,
+    is_poly_time_with_selection,
+    solve_with_selection,
+)
 from repro.core import is_poly_time, summarize_removed
 from repro.experiments.harness import run_method, target_from_ratio
 from repro.workloads.queries import Q1
@@ -28,7 +34,7 @@ from repro.workloads.tpch import SELECTED_PART_KEY, generate_tpch
 
 def main() -> None:
     database = generate_tpch(total_tuples=600, seed=7)
-    total = evaluate(Q1, database).output_count()
+    total = Session(database).output_size(Q1)
     print(f"TPC-H-like instance: {database.total_tuples()} input tuples, "
           f"{total} trading records (|Q1(D)|)")
 
@@ -39,7 +45,7 @@ def main() -> None:
     print(f"\n-- {selection} Q1 --")
     print("poly-time with this selection?", is_poly_time_with_selection(Q1, selection))
     filtered = selection.apply(Q1, database)
-    selected_total = evaluate(Q1, filtered).output_count()
+    selected_total = Session(filtered).output_size(Q1)
     print(f"records involving part {SELECTED_PART_KEY}: {selected_total}")
 
     for ratio in (0.25, 0.5, 0.75):

@@ -28,9 +28,8 @@ False
 A :class:`Session` binds one database and owns its evaluation cache, engine
 mode and interning tables; a :class:`PreparedQuery` carries the parse, the
 dichotomy classification and the join plan, reusable across databases and
-targets.  The pre-session free functions (``evaluate``, ``compute_adp``,
-``ADPSolver.solve(query, database, k)``) keep working as deprecated shims
-over an implicit per-database default session -- see ``docs/MIGRATION.md``.
+targets.  ``Session`` is the only entry point for evaluating and solving --
+see ``docs/MIGRATION.md`` for the free functions it replaced.
 
 Package layout
 --------------
@@ -54,7 +53,6 @@ from repro.core import (
     ADPSolver,
     Selection,
     SolverConfig,
-    compute_adp,
     decide,
     diagnose,
     hardness_certificate,
@@ -68,14 +66,12 @@ from repro.core import (
 )
 from repro.core.curves import CostCurve
 from repro.data import Database, Relation, TupleRef
-from repro.engine import evaluate
 from repro.query import Atom, ConjunctiveQuery, parse_query
 from repro.session import (
     PreparedQuery,
     Session,
     SessionStats,
     WhatIfResult,
-    default_session,
     prepare,
 )
 
@@ -96,11 +92,8 @@ __all__ = [
     "PreparedQuery",
     "SessionStats",
     "WhatIfResult",
-    "default_session",
     "prepare",
     "CostCurve",
-    # evaluation (deprecated shim; prefer Session.evaluate)
-    "evaluate",
     # dichotomies
     "is_poly_time",
     "is_np_hard",
@@ -113,7 +106,6 @@ __all__ = [
     "SolverConfig",
     "ADPInstance",
     "ADPSolution",
-    "compute_adp",
     # extensions
     "Selection",
     "solve_with_selection",

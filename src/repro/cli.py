@@ -24,13 +24,13 @@ without writing any Python:
   clients can also register them at runtime via ``POST /v1/databases``;
 * ``analyze`` -- run the invariant linter (:mod:`repro.analysis`) over the
   package (or a path): backend isolation, append-only interning, lock
-  discipline, deterministic iteration, wall-clock hygiene and deprecated
-  shims, as REP-numbered findings.  Exits 1 when anything fires; CI runs
+  discipline, deterministic iteration and wall-clock hygiene, as
+  REP-numbered findings.  Exits 1 when anything fires; CI runs
   it as a blocking job (see docs/INVARIANTS.md).
 
 ``solve`` runs through a :class:`repro.session.Session` bound to the loaded
-database: ``--engine`` picks the columnar, row-reference or sharded parallel
-engine, ``--workers N`` sets the degree of parallelism (default 1, keeping
+database: ``--engine`` picks the columnar or sharded parallel engine,
+``--workers N`` sets the degree of parallelism (default 1, keeping
 single-core runs bit-stable), and ``--json`` emits a machine-readable
 summary for scripting.  An empty query result is a successful (empty)
 answer, not an error: the summary is printed and the exit code is 0.
@@ -67,6 +67,7 @@ from repro.core.mapping import hardness_certificate
 from repro.core.structures import diagnose
 from repro.core.solution import summarize_removed
 from repro.data.csvio import load_database_csv
+from repro.engine.evaluate import ENGINE_MODES
 from repro.experiments import figures
 from repro.experiments.report import render_results
 from repro.query.parser import parse_query
@@ -102,10 +103,10 @@ def _add_solve_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=["columnar", "row", "parallel"],
+        choices=ENGINE_MODES,
         default="columnar",
-        help="evaluation engine: columnar (default), the row reference "
-        "engine, or the sharded parallel engine",
+        help="evaluation engine: columnar (default) or the sharded parallel "
+        "engine",
     )
     parser.add_argument(
         "--workers",
@@ -155,7 +156,7 @@ def _add_explain_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=["columnar", "row", "parallel"],
+        choices=ENGINE_MODES,
         default="columnar",
         help="evaluation engine the execution block reports on",
     )
@@ -231,7 +232,7 @@ def _add_serve_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=["columnar", "row", "parallel"],
+        choices=ENGINE_MODES,
         default="columnar",
         help="evaluation engine for every served session",
     )
@@ -528,13 +529,6 @@ def _solve_impl(args: argparse.Namespace) -> int:
     heuristic = "greedy" if args.method == "auto" else args.method
     solver = ADPSolver(heuristic=heuristic, counting_only=args.counting_only)
 
-    if args.engine == "row" and args.workers > 1:
-        print(
-            "error: --workers is incompatible with the row reference engine "
-            "(it is serial-only)",
-            file=sys.stderr,
-        )
-        return 2
     with span("session.init", engine=args.engine, workers=args.workers):
         session = Session(
             database, engine=args.engine, workers=args.workers,
@@ -575,13 +569,6 @@ def _run_explain(args: argparse.Namespace) -> int:
 
     query = parse_query(args.query)
     database = load_database_csv(args.database)
-    if args.engine == "row" and args.workers > 1:
-        print(
-            "error: --workers is incompatible with the row reference engine "
-            "(it is serial-only)",
-            file=sys.stderr,
-        )
-        return 2
     session = Session(
         database, engine=args.engine, workers=args.workers, backend=args.backend
     )

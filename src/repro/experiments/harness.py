@@ -23,7 +23,7 @@ from repro.core.solution import ADPSolution
 from repro.data.database import Database
 from repro.engine.evaluate import evaluate_in_context as evaluate
 from repro.query.cq import ConjunctiveQuery
-from repro.session import Session, default_session
+from repro.session import Session
 
 #: Method names accepted by :func:`run_method` (the names used in the plots).
 METHODS = ("exact", "exact-counting", "greedy", "drastic", "bruteforce")
@@ -32,56 +32,54 @@ METHODS = ("exact", "exact-counting", "greedy", "drastic", "bruteforce")
 #: 1 keeps every figure table bit-stable with the pre-parallel harness.
 _DEFAULT_WORKERS = 1
 
-#: How many parallel grid sessions (each owning a worker pool) stay open at
-#: once; the oldest is closed when the bound is hit, so a many-database grid
-#: never accumulates idle worker processes.
-_MAX_PARALLEL_SESSIONS = 4
+#: How many harness sessions (a parallel one owns a worker pool) stay open
+#: at once; the oldest is closed when the bound is hit, so a many-database
+#: grid never accumulates idle sessions or worker processes.
+_MAX_SESSIONS = 4
 
-#: Bounded ``id(database) -> Session`` cache of parallel grid sessions.
-#: Deliberately *strong* references in insertion order: the session keeps
-#: its database alive while cached (a weak-key map would be immortal here,
-#: since the session value references its own key), and eviction/closure is
-#: explicit.
-_PARALLEL_SESSIONS: "OrderedDict[int, Session]" = OrderedDict()
+#: Bounded ``id(database) -> Session`` cache: one harness session per
+#: database, serial or parallel.  Deliberately *strong* references in
+#: insertion order: the session keeps its database alive while cached (a
+#: weak-key map would be immortal here, since the session value references
+#: its own key), and eviction/closure is explicit.
+_SESSIONS: "OrderedDict[int, Session]" = OrderedDict()
 
 
 def set_default_workers(workers: int) -> None:
     """Set the worker count used by :func:`run_method` when no session is given.
 
-    Closes previously created parallel harness sessions when switching,
-    and ``set_default_workers(1)`` *always* releases them -- it doubles as
-    the explicit cleanup call for sessions created via per-call
+    Closes previously created harness sessions when switching, and
+    ``set_default_workers(1)`` *always* releases them -- it doubles as the
+    explicit cleanup call for sessions created via per-call
     ``run_method(..., workers=N)``, so worker pools never outlive the code
     that wanted them.
     """
     global _DEFAULT_WORKERS
     workers = max(1, int(workers))
     if workers != _DEFAULT_WORKERS or workers <= 1:
-        for session in _PARALLEL_SESSIONS.values():
+        for session in _SESSIONS.values():
             session.close()
-        _PARALLEL_SESSIONS.clear()
+        _SESSIONS.clear()
     _DEFAULT_WORKERS = workers
 
 
 def _harness_session(database: Database, workers: Optional[int]) -> Session:
     """The session a grid point runs through (honoring the workers setting)."""
     effective = _DEFAULT_WORKERS if workers is None else max(1, int(workers))
-    if effective <= 1:
-        return default_session(database)
     key = id(database)
     # While an entry exists its session pins the database alive, so id()
     # cannot have been reused for a live key.
-    session = _PARALLEL_SESSIONS.get(key)
-    if session is not None and (session._closed or session.workers != effective):
-        if not session._closed:
+    session = _SESSIONS.get(key)
+    if session is not None and (session.closed or session.workers != effective):
+        if not session.closed:
             session.close()  # don't leak the displaced session's worker pool
-        del _PARALLEL_SESSIONS[key]
+        del _SESSIONS[key]
         session = None
     if session is None:
         session = Session(database, workers=effective)
-        _PARALLEL_SESSIONS[key] = session
-        while len(_PARALLEL_SESSIONS) > _MAX_PARALLEL_SESSIONS:
-            _key, oldest = _PARALLEL_SESSIONS.popitem(last=False)
+        _SESSIONS[key] = session
+        while len(_SESSIONS) > _MAX_SESSIONS:
+            _key, oldest = _SESSIONS.popitem(last=False)
             oldest.close()
     return session
 
@@ -154,12 +152,11 @@ def run_method(
     """Run one method on one instance and record time + quality.
 
     Runs through a :class:`~repro.session.Session`: pass one explicitly to
-    share caches across a whole grid, otherwise the database's implicit
-    default session is used (matching the old global-cache behaviour).
-    ``workers`` (or the harness-wide :func:`set_default_workers` setting,
-    i.e. ``repro experiments --workers N``) routes the grid point through a
-    shared parallel session instead; the default of 1 keeps figure tables
-    bit-stable.
+    share caches across a whole grid, otherwise the harness keeps one
+    session per database (bounded, oldest closed first).  ``workers`` (or
+    the harness-wide :func:`set_default_workers` setting, i.e. ``repro
+    experiments --workers N``) makes that session a parallel one; the
+    default of 1 keeps figure tables bit-stable.
 
     ``method`` is one of :data:`METHODS`:
 

@@ -121,7 +121,6 @@ def merge_shard_results(
         return QueryResult(
             query,
             output_rows,
-            None,
             witness_outputs,
             output_index,
             provenance=provenance,
@@ -145,7 +144,7 @@ def merge_shard_results(
             {},
             vacuum_refs,
         )
-        return QueryResult(query, [], None, [], None, provenance=provenance)
+        return QueryResult(query, [], [], None, provenance=provenance)
     items.sort(key=itemgetter(0))
 
     ref_columns: List[List[int]] = [[] for _ in atom_names]
@@ -177,7 +176,6 @@ def merge_shard_results(
     return QueryResult(
         query,
         output_rows,
-        None,
         witness_outputs,
         output_index,
         provenance=provenance,

@@ -41,6 +41,8 @@ from typing import Iterable, Iterator, List, Optional
 
 from repro.data.database import Database
 from repro.data.relation import TupleRef
+from repro.engine.backend import resolve_backend
+from repro.engine.evaluate import validate_engine
 from repro.session import Session
 from repro.storage import OP_DELETE, OP_INSERT, DatabaseStore, StorageError
 
@@ -145,6 +147,9 @@ class SessionRegistry:
     ) -> None:
         if capacity < 1:
             raise ValueError(f"registry capacity must be >= 1, got {capacity}")
+        # Fail at startup, not on every later register() as a client 400.
+        validate_engine(engine)
+        resolve_backend(backend)  # raises on an unknown or unavailable backend
         self.capacity = int(capacity)
         self.engine = engine
         self.backend = backend

@@ -8,9 +8,9 @@ connection object:
 * :class:`PreparedQuery` -- parse + dichotomy classification + join-order
   plan, computed **once** and reusable across databases and targets ``k``;
 * :class:`Session` -- binds one :class:`~repro.data.database.Database` and
-  owns everything that used to be module-global state: the evaluation cache,
-  the engine mode (columnar vs row), the relation interning tables and the
-  usage statistics.  On top it exposes the batched and incremental
+  owns all evaluation state: the evaluation cache, the engine mode (serial
+  columnar vs parallel), the relation interning tables and the usage
+  statistics.  On top it exposes the batched and incremental
   capabilities that were previously internal-only:
 
   - :meth:`Session.solve` / :meth:`Session.solve_many` -- one or many ADP
@@ -26,10 +26,9 @@ connection object:
     inserted side (:mod:`repro.engine.delta`), work proportional to the
     delta instead of a re-intern + re-join of the whole database.
 
-The legacy free functions (``evaluate``, ``compute_adp``,
-``ADPSolver.solve(query, database, k)``, ``set_engine_mode`` and the global
-cache helpers) remain available as deprecated shims over the implicit
-:func:`default_session` of each database; see ``docs/MIGRATION.md``.
+``Session`` is the only entry point to the engine: library functions that
+take ``(query, database)`` pairs evaluate in the active session's context
+(``with session.activate():``), or on a fresh uncached context outside one.
 
 Thread- and process-safety contract
 -----------------------------------
@@ -104,12 +103,11 @@ from repro.engine.delta import (
     delta_insert_result,
 )
 from repro.engine.evaluate import (
-    ENGINE_MODES,
     EngineContext,
     QueryResult,
-    default_context,
     join_order_plan,
     use_context,
+    validate_engine,
 )
 from repro.obs.trace import span, tracing_active
 from repro.parallel.partition import choose_partition_key
@@ -373,16 +371,15 @@ class Session:
         :meth:`apply_deletions` / :meth:`apply_insertions` migrate cached
         results incrementally.
     engine:
-        ``"columnar"`` (default), ``"row"`` or ``"parallel"`` -- per-session
-        engine mode, replacing the deprecated global ``set_engine_mode``.
+        ``"columnar"`` (default) or ``"parallel"`` -- the per-session engine
+        mode, fixed for the session's lifetime.
     backend:
         The array backend for the columnar/parallel kernels
         (:mod:`repro.engine.backend`): ``"auto"`` (default -- NumPy when
         installed, pure Python otherwise), ``"numpy"`` (raise if NumPy is
         missing) or ``"python"``.  Results are **byte-identical** across
         backends (same witness order, same tie-breaking, same packed
-        layout); only the column representation and the speed differ.  The
-        row reference engine ignores the backend.
+        layout); only the column representation and the speed differ.
     workers:
         Degree of parallelism.  ``workers > 1`` (or ``engine="parallel"``,
         which defaults to the CPU count) switches the session onto the
@@ -414,32 +411,16 @@ class Session:
         workers: int = 1,
         parallel_threshold: Optional[int] = None,
         config: Optional[SolverConfig] = None,
-        _context: Optional[EngineContext] = None,
     ):
+        validate_engine(engine)
         self.database = database
         workers = int(workers)
-        owns_context = _context is None
-        if _context is None:
-            if engine not in ENGINE_MODES:
-                raise ValueError(f"unknown engine mode {engine!r}")
-            if engine == "row":
-                if workers > 1:
-                    raise ValueError(
-                        "the row reference engine is serial-only; "
-                        "workers > 1 needs the columnar (or parallel) engine"
-                    )
-                mode = "row"
-            elif engine == "parallel" or workers > 1:
-                mode = "parallel"
-            else:
-                mode = engine  # validated by EngineContext
-            _context = EngineContext(
-                mode=mode,
-                workers=workers,
-                parallel_threshold=parallel_threshold,
-                backend=backend,
-            )
-        self._context = _context
+        self._context = EngineContext(
+            mode="parallel" if workers > 1 else engine,
+            workers=workers,
+            parallel_threshold=parallel_threshold,
+            backend=backend,
+        )
         self._config = config or SolverConfig()
         self._prepared: Dict[object, PreparedQuery] = {}
         self._counters = {
@@ -453,16 +434,13 @@ class Session:
             "insertions_applied": 0,
         }
         self._closed = False
-        # Deterministic teardown net: a session that owns its context (i.e.
-        # was not handed the shared per-database default context) releases
-        # it -- cache, interners and, crucially, the parallel worker pool --
-        # when garbage collected, not just on an explicit close().  Without
-        # this, a dropped parallel session leaks its worker processes until
+        # Deterministic teardown net: a session releases its context --
+        # cache, interners and, crucially, the parallel worker pool -- when
+        # garbage collected, not just on an explicit close().  Without this,
+        # a dropped parallel session leaks its worker processes until
         # interpreter exit.  close() runs the same finalizer explicitly.
-        self._finalizer = (
-            weakref.finalize(self, EngineContext.release, self._context)
-            if owns_context
-            else None
+        self._finalizer = weakref.finalize(
+            self, EngineContext.release, self._context
         )
 
     # ------------------------------------------------------------------ #
@@ -486,15 +464,12 @@ class Session:
         session's worker processes have exited (the pool drains and joins
         them) -- the guarantee the service registry's LRU eviction relies
         on.  The same release also runs via a GC finalizer when an unclosed
-        session that owns its context is collected.
+        session is collected.
         """
         if self._closed:
             return
         self._closed = True
-        if self._finalizer is not None:
-            self._finalizer()
-        else:
-            self._context.release()
+        self._finalizer()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -516,7 +491,7 @@ class Session:
     # ------------------------------------------------------------------ #
     @property
     def engine(self) -> str:
-        """This session's engine mode (``columnar``, ``row`` or ``parallel``)."""
+        """This session's engine mode (``columnar`` or ``parallel``)."""
         return self._context.mode
 
     @property
@@ -528,11 +503,6 @@ class Session:
     def backend(self) -> str:
         """The resolved array backend (``"python"`` or ``"numpy"``)."""
         return self._context.backend.name
-
-    def set_engine(self, mode: str) -> None:
-        """Switch this session's engine, clearing its cache (A/B runs)."""
-        self._check_open()
-        self._context.set_mode(mode)
 
     # ------------------------------------------------------------------ #
     # Preparing and evaluating
@@ -1084,9 +1054,8 @@ class Session:
                         result, ref_list, extend_index=extend, row_live=row_live
                     )
                     if migrated is None:
-                        # Vacuum query / row-style result: not incrementally
-                        # extendable -- drop the entry, the next evaluate
-                        # re-joins.
+                        # Vacuum query: not incrementally extendable -- drop
+                        # the entry, the next evaluate re-joins.
                         continue
                 cache.store_raw(
                     self.database, query_key, new_token, migrated, backend=backend_tag
@@ -1131,40 +1100,11 @@ class Session:
         )
 
 
-# --------------------------------------------------------------------------- #
-# Implicit default sessions (the substrate of the deprecated free functions)
-# --------------------------------------------------------------------------- #
-_DEFAULT_SESSIONS: "weakref.WeakKeyDictionary[Database, Session]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def default_session(database: Database) -> Session:
-    """The implicit session of ``database`` (created lazily, kept weakly).
-
-    Shares its engine context with the legacy free functions' per-database
-    default context, so ``evaluate(q, db)`` and
-    ``default_session(db).evaluate(q)`` hit the same cache.  Prefer creating
-    explicit :class:`Session` objects in new code.
-    """
-    session = _DEFAULT_SESSIONS.get(database)
-    if session is None or session._closed:
-        # A closed implicit session is replaced transparently (the legacy
-        # free functions must keep working for the database's lifetime).
-        session = Session(database, _context=default_context(database))
-        try:
-            _DEFAULT_SESSIONS[database] = session
-        except TypeError:  # pragma: no cover - non-weakref-able database stub
-            pass
-    return session
-
-
 __all__ = [
     "PreparedQuery",
     "Session",
     "SessionStats",
     "WhatIfEntry",
     "WhatIfResult",
-    "default_session",
     "prepare",
 ]

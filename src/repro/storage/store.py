@@ -220,8 +220,7 @@ class DatabaseStore:
         ).items():
             if tok != token or layout is not None:
                 continue
-            provenance = getattr(result, "provenance", None)
-            if provenance is None or query_key in seen_keys:
+            if query_key in seen_keys:
                 continue
             seen_keys.add(query_key)
             kept.append(result)
@@ -466,7 +465,6 @@ class DatabaseStore:
                 result = QueryResult(
                     query,
                     result_snap.output_rows,
-                    None,
                     as_id_list(packed_outputs),
                     None,
                     provenance=provenance,

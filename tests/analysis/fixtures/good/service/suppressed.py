@@ -1,7 +1,7 @@
 """REP000 good fixture: a justified single-rule suppression is honoured."""
 
-from repro.engine.evaluate import evaluate  # repro: noqa REP006 -- fixture exercising the documented migration example
+import numpy as np  # repro: noqa REP001 -- fixture exercising a justified suppression
 
 
-def run(query, database):
-    return evaluate(query, database)
+def total(values):
+    return int(np.sum(values))

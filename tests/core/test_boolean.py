@@ -47,9 +47,9 @@ class TestMinCut:
         assert curve.cost(1) == 2
         # The cut must actually falsify the query.
         removed = curve.solution(1)
-        from repro.engine.evaluate import evaluate
+        from repro.session import Session
 
-        assert evaluate(query, database.without(removed)).output_count() == 0
+        assert Session(database.without(removed)).evaluate(query).output_count() == 0
 
     def test_exogenous_tuples_never_cut(self):
         query = parse_query("Q() :- R1(A), R2(A, B), R3(B)")
@@ -79,9 +79,9 @@ class TestMinCut:
                     "R3": [(b,) for b in range(3) if rng.random() < 0.8],
                 },
             )
-            from repro.engine.evaluate import evaluate
+            from repro.session import Session
 
-            if evaluate(query, database).output_count() == 0:
+            if Session(database).evaluate(query).output_count() == 0:
                 continue
             curve = min_cut_curve(query, database)
             assert curve.cost(1) == bruteforce_optimum(query, database, 1)

@@ -5,8 +5,12 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.data.csvio import save_database_csv
+from repro.core.adp import ADPSolver
+from repro.data.csvio import load_database_csv, save_database_csv
 from repro.data.database import Database
+from repro.engine.evaluate import use_context
+from repro.query.parser import parse_query
+from tests.row_oracle import RowEngineContext
 
 
 @pytest.fixture
@@ -90,14 +94,22 @@ class TestSolveCommand:
         assert isinstance(payload["removed"], list) and payload["removed"]
 
     def test_solve_row_engine_matches_columnar(self, capsys, csv_database):
-        args = ["solve", "Q(A, B) :- R1(A), R2(A, B)", str(csv_database), "--k", "2", "--json"]
-        assert main(args) == 0
+        query = "Q(A, B) :- R1(A), R2(A, B)"
+        assert main(["solve", query, str(csv_database), "--k", "2", "--json"]) == 0
         columnar = json.loads(capsys.readouterr().out)
-        assert main(args + ["--engine", "row"]) == 0
-        row = json.loads(capsys.readouterr().out)
-        assert row["engine"] == "row"
-        assert row["objective"] == columnar["objective"]
-        assert row["k"] == columnar["k"]
+        with use_context(RowEngineContext()):
+            row = ADPSolver().solve_in_context(
+                parse_query(query), load_database_csv(csv_database), 2
+            )
+        assert row.objective == columnar["objective"]
+        assert row.k == columnar["k"]
+
+    def test_solve_rejects_the_removed_row_engine(self, capsys, csv_database):
+        args = ["solve", "Q(A, B) :- R1(A), R2(A, B)", str(csv_database), "--k", "2"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--engine", "row"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'row'" in capsys.readouterr().err
 
     def test_k_and_ratio_are_mutually_exclusive(self, csv_database):
         with pytest.raises(SystemExit):
@@ -182,4 +194,6 @@ class TestExplainCommand:
             "explain", self.QUERY, str(csv_database),
             "--engine", "row", "--workers", "2",
         ]
-        assert main(args) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2

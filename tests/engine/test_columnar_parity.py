@@ -1,10 +1,11 @@
 """Parity tests: the columnar witness engine vs the row-at-a-time reference.
 
-The columnar rewrite must be invisible to every consumer: identical answers,
+The columnar engine must be invisible to every consumer: identical answers,
 identical witness sets, and byte-identical ADP costs on the paper's
-workloads.  ``evaluate_rows`` is the original row engine kept verbatim;
-``set_engine_mode("row")`` routes the whole solver stack through it so the
-two engines can be compared end to end.
+workloads.  The reference is ``evaluate_rows`` in ``tests/row_oracle.py``,
+the original row engine kept verbatim; ``RowEngineContext`` routes the
+whole solver stack through it so the two engines can be compared end to
+end.
 """
 
 import pytest
@@ -12,27 +13,26 @@ import pytest
 from repro.core.adp import ADPSolver
 from repro.core.bruteforce import bruteforce_solve
 from repro.data.database import Database
-from repro.engine.evaluate import (
-    clear_evaluation_cache,
-    evaluate,
-    evaluate_rows,
-    evaluation_cache_stats,
-    set_engine_mode,
-)
+from repro.data.relation import TupleRef
+from repro.engine.evaluate import use_context
 from repro.experiments.harness import target_from_ratio
 from repro.query.parser import parse_query
+from repro.session import Session
 from repro.workloads.queries import Q1, Q6, Q7, Q8, QPATH_EXP
 from repro.workloads.synthetic import generate_q7_instance, generate_q8_instance
 from repro.workloads.tpch import generate_tpch
 from repro.workloads.zipf import generate_zipf_path
+from tests.row_oracle import (
+    RowEngineContext,
+    evaluate_rows,
+    outputs_removed_by,
+    participating_refs,
+)
 
 
-@pytest.fixture(autouse=True)
-def _columnar_mode_and_fresh_cache():
-    """Every test starts in columnar mode with an empty cache."""
-    set_engine_mode("columnar")
-    yield
-    set_engine_mode("columnar")
+def evaluate(query, database, **kwargs):
+    """One columnar evaluation on a fresh session."""
+    return Session(database).evaluate(query, **kwargs)
 
 
 def _instances():
@@ -63,7 +63,7 @@ def test_evaluation_parity(name, query, database):
     # The lazy witness view materializes the same full-join rows, in the
     # same order, with the same ref order inside each witness.
     assert [w.refs for w in columnar.witnesses] == [w.refs for w in rows.witnesses]
-    assert columnar.participating_refs() == rows.participating_refs()
+    assert columnar.participating_refs() == participating_refs(rows)
 
 
 @pytest.mark.parametrize("name,query,database", INSTANCES, ids=IDS)
@@ -73,7 +73,7 @@ def test_outputs_removed_by_parity(name, query, database):
     refs = sorted(columnar.participating_refs(), key=repr)
     probes = [refs[:1], refs[:3], refs[::4], refs]
     for removed in probes:
-        assert columnar.outputs_removed_by(removed) == rows.outputs_removed_by(removed)
+        assert columnar.outputs_removed_by(removed) == outputs_removed_by(rows, removed)
 
 
 def test_vacuum_relation_parity():
@@ -88,12 +88,10 @@ def test_vacuum_relation_parity():
         assert columnar.output_rows == rows.output_rows
         assert [w.refs for w in columnar.witnesses] == [w.refs for w in rows.witnesses]
     # Removing the vacuum tuple kills every output on both engines.
-    from repro.data.relation import TupleRef
-
     vacuum = TupleRef("R0", ())
     assert (
         evaluate(query, present).outputs_removed_by([vacuum])
-        == evaluate_rows(query, present).outputs_removed_by([vacuum])
+        == outputs_removed_by(evaluate_rows(query, present), [vacuum])
         == 2
     )
 
@@ -102,11 +100,11 @@ def test_vacuum_relation_parity():
 # ADP cost parity (the acceptance criterion: byte-identical costs)
 # --------------------------------------------------------------------------- #
 def _solve_in_mode(mode, solver_kwargs, query, database, k):
-    set_engine_mode(mode)
-    try:
-        return ADPSolver(**solver_kwargs).solve(query, database, k)
-    finally:
-        set_engine_mode("columnar")
+    solver = ADPSolver(**solver_kwargs)
+    if mode == "columnar":
+        return Session(database).solve(query, k, solver=solver)
+    with use_context(RowEngineContext()):
+        return solver.solve_in_context(query, database, k)
 
 
 @pytest.mark.parametrize("name,query,database", INSTANCES, ids=IDS)
@@ -128,9 +126,10 @@ def test_adp_solution_parity(name, query, database, heuristic):
 def test_bruteforce_parity_small_tpch():
     database = generate_tpch(total_tuples=60, seed=7)
     k = target_from_ratio(Q1, database, 0.1)
-    columnar = bruteforce_solve(Q1, database, k, max_candidates=2000)
-    set_engine_mode("row")
-    row = bruteforce_solve(Q1, database, k, max_candidates=2000)
+    with Session(database).activate():
+        columnar = bruteforce_solve(Q1, database, k, max_candidates=2000)
+    with use_context(RowEngineContext()):
+        row = bruteforce_solve(Q1, database, k, max_candidates=2000)
     assert columnar.removed == row.removed
     assert columnar.removed_outputs == row.removed_outputs
     assert columnar.stats == row.stats
@@ -150,14 +149,12 @@ def test_boolean_min_cut_parity():
 # Evaluation cache semantics
 # --------------------------------------------------------------------------- #
 def test_cache_hits_on_repeat_and_shares_result():
-    database = generate_tpch(total_tuples=60, seed=7)
-    clear_evaluation_cache()
-    first = evaluate(Q1, database)
-    hits, misses = evaluation_cache_stats()
-    assert (hits, misses) == (0, 1)
-    second = evaluate(Q1, database)
-    hits, misses = evaluation_cache_stats()
-    assert hits == 1
+    session = Session(generate_tpch(total_tuples=60, seed=7))
+    first = session.evaluate(Q1)
+    stats = session.stats
+    assert (stats.cache_hits, stats.cache_misses) == (0, 1)
+    second = session.evaluate(Q1)
+    assert session.stats.cache_hits == 1
     assert second is first
 
 
@@ -167,14 +164,15 @@ def test_cache_invalidates_on_mutation():
         {"R1": [(1,), (2,)], "R2": [(1, 10), (2, 20)]},
     )
     query = parse_query("Q(A, B) :- R1(A), R2(A, B)")
-    before = evaluate(query, database)
+    session = Session(database)
+    before = session.evaluate(query)
     assert before.output_count() == 2
     database.relation("R2").insert((2, 21))
-    after = evaluate(query, database)
+    after = session.evaluate(query)
     assert after is not before
     assert after.output_count() == 3
     database.relation("R2").remove((2, 21))
-    again = evaluate(query, database)
+    again = session.evaluate(query)
     assert again.output_count() == 2
 
 
@@ -185,10 +183,10 @@ def test_cache_ignores_display_name_but_not_head_order():
     q_ab = parse_query("Q(A, B) :- R1(A, B)")
     q_renamed = parse_query("Other(A, B) :- R1(A, B)")
     q_ba = parse_query("Q(B, A) :- R1(A, B)")
-    clear_evaluation_cache()
-    first = evaluate(q_ab, database)
-    assert evaluate(q_renamed, database) is first  # same canonical form
-    flipped = evaluate(q_ba, database)
+    session = Session(database)
+    first = session.evaluate(q_ab)
+    assert session.evaluate(q_renamed) is first  # same canonical form
+    flipped = session.evaluate(q_ba)
     assert flipped is not first
     assert set(flipped.output_rows) == {(10, 1), (20, 2)}
 
@@ -199,6 +197,7 @@ def test_max_witnesses_bypasses_cache():
         {"R1": [(i,) for i in range(20)], "R2": [(i,) for i in range(20)]},
     )
     query = parse_query("Q(A, B) :- R1(A), R2(B)")
-    evaluate(query, database)  # caches the unbounded result
+    session = Session(database)
+    session.evaluate(query)  # caches the unbounded result
     with pytest.raises(RuntimeError):
-        evaluate(query, database, max_witnesses=100)
+        session.evaluate(query, max_witnesses=100)

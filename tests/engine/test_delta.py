@@ -11,11 +11,12 @@ import pytest
 from repro.data.database import Database
 from repro.data.relation import TupleRef
 from repro.engine.delta import delta_filter_result
-from repro.engine.evaluate import evaluate_in_context, evaluate_rows
+from repro.engine.evaluate import evaluate_in_context
 from repro.query.parser import parse_query
 from repro.workloads.queries import Q1, Q6, QPATH_EXP
 from repro.workloads.tpch import generate_tpch
 from repro.workloads.zipf import generate_zipf_path
+from tests.row_oracle import evaluate_rows
 
 
 def _witness_set(result):
@@ -93,9 +94,9 @@ def test_delta_filter_vacuum_deletion_kills_everything():
 
 
 def test_delta_filter_row_engine_fallback():
+    # The delta filter agrees with the row engine on the shrunk database.
     database = generate_tpch(total_tuples=60, seed=7)
-    base = evaluate_rows(Q1, database)
-    assert base.provenance is None
+    base = evaluate_in_context(Q1, database)
     refs = sorted(base.participating_refs(), key=repr)[::3]
     filtered = delta_filter_result(base, refs)
     fresh = evaluate_rows(Q1, database.without(refs))

@@ -278,7 +278,7 @@ def test_partition_cache_drops_dead_databases():
 
 def test_row_engine_rejects_workers():
     database = generate_zipf_path(r2_tuples=20, alpha=0.0, seed=13)
-    with pytest.raises(ValueError, match="row reference engine is serial-only"):
+    with pytest.raises(ValueError, match="valid engines: columnar, parallel"):
         Session(database, engine="row", workers=2)
 
 

@@ -200,6 +200,20 @@ def test_closed_registry_refuses_registration():
         registry.register("b", make_database())
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"engine": "row"}, "valid engines: columnar, parallel"),
+        ({"engine": "bogus"}, "valid engines: columnar, parallel"),
+        ({"backend": "bogus"}, "unknown backend 'bogus'"),
+    ],
+)
+def test_bad_engine_or_backend_fails_at_construction(options, message):
+    # Rejected up front, not as a client 400 on every later register().
+    with pytest.raises(ValueError, match=message):
+        SessionRegistry(capacity=2, **options)
+
+
 def test_failed_registration_never_closes_a_caller_supplied_session():
     from repro.session import Session
 

@@ -3,6 +3,7 @@
 Covers the redesign's contract:
 
 * session-owned caches invalidate on database mutation (both engines);
+* an unknown engine (including the removed ``"row"`` mode) is rejected;
 * a ``PreparedQuery`` is reusable across databases and targets, matching
   fresh solves exactly;
 * ``what_if`` (delta semijoin) returns results identical, as sets, to a
@@ -10,23 +11,23 @@ Covers the redesign's contract:
 * ``apply_deletions`` migrates cached results across the version bump so the
   next evaluation is a cache hit, not a join;
 * ``solve_many`` and ``curve`` agree with one-at-a-time solves;
-* every legacy entry point still works through the default-session shims,
-  emitting ``DeprecationWarning``.
+* what-if results and solutions agree with the row engine
+  (``tests/row_oracle.py``).
 """
 
 import time
-import warnings
 
 import pytest
 
-from repro.core.adp import ADPSolver, compute_adp
+from repro.core.adp import ADPSolver
 from repro.data.database import Database
 from repro.data.relation import TupleRef
-from repro.engine.evaluate import evaluate, set_engine_mode
+from repro.engine.evaluate import use_context
 from repro.query.parser import parse_query
-from repro.session import PreparedQuery, Session, default_session, prepare
+from repro.session import PreparedQuery, Session, prepare
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import generate_tpch
+from tests.row_oracle import RowEngineContext, evaluate_rows
 
 
 def _small_db():
@@ -46,7 +47,7 @@ def _witness_set(result):
 # --------------------------------------------------------------------------- #
 # Cache invalidation on mutation (satellite: both engines)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("engine", ["columnar", "row"])
+@pytest.mark.parametrize("engine", ["columnar", "parallel"])
 def test_session_cache_invalidates_on_mutation(engine):
     database = _small_db()
     session = Session(database, engine=engine)
@@ -63,6 +64,11 @@ def test_session_cache_invalidates_on_mutation(engine):
     database.relation("R2").remove((2, 21))
     again = session.evaluate(prepared)
     assert again.output_count() == 3
+
+
+def test_unknown_engine_is_rejected_naming_the_valid_ones():
+    with pytest.raises(ValueError, match="columnar, parallel"):
+        Session(_small_db(), engine="row")
 
 
 def test_session_cache_hits_while_unchanged():
@@ -159,11 +165,10 @@ def test_what_if_without_prepared_queries_raises():
 
 def test_what_if_row_engine_parity():
     database = generate_tpch(total_tuples=60, seed=7)
-    columnar = Session(database, engine="columnar")
-    row = Session(database, engine="row")
+    columnar = Session(database)
     refs = sorted(columnar.evaluate(Q1).participating_refs(), key=repr)[::4]
     after_columnar = columnar.what_if(refs, Q1).single.after
-    after_row = row.what_if(refs, Q1).single.after
+    after_row = evaluate_rows(Q1, database.without(refs))
     assert set(after_columnar.output_rows) == set(after_row.output_rows)
     assert _witness_set(after_columnar) == _witness_set(after_row)
 
@@ -270,79 +275,12 @@ def test_stats_counters():
 
 def test_row_engine_session_matches_columnar_objective():
     database = generate_tpch(total_tuples=60, seed=7)
-    columnar = Session(database, engine="columnar").solve(Q1, 3, heuristic="greedy")
-    row = Session(database, engine="row").solve(Q1, 3, heuristic="greedy")
+    solver = ADPSolver(heuristic="greedy")
+    columnar = Session(database).solve(Q1, 3, solver=solver)
+    with use_context(RowEngineContext()):
+        row = solver.solve_in_context(Q1, database, 3)
     assert row.objective == columnar.objective
     assert row.removed == columnar.removed
-
-
-# --------------------------------------------------------------------------- #
-# Deprecated shims over the default session
-# --------------------------------------------------------------------------- #
-def test_legacy_evaluate_warns_and_matches_session():
-    database = _small_db()
-    with pytest.warns(DeprecationWarning):
-        legacy = evaluate(parse_query(QUERY_TEXT), database)
-    fresh = default_session(database).evaluate(QUERY_TEXT)
-    assert legacy is fresh  # same default-session cache entry
-
-
-def test_legacy_solver_and_compute_adp_warn_and_match():
-    database = _small_db()
-    query = parse_query(QUERY_TEXT)
-    with pytest.warns(DeprecationWarning):
-        legacy = ADPSolver().solve(query, database, 2)
-    with pytest.warns(DeprecationWarning):
-        functional = compute_adp(query, database, 2)
-    modern = Session(database).solve(query, 2)
-    assert legacy.objective == functional.objective == modern.objective
-    assert legacy.removed == modern.removed
-
-
-def test_legacy_solve_ratio_warns_and_matches():
-    database = _small_db()
-    query = parse_query(QUERY_TEXT)
-    with pytest.warns(DeprecationWarning):
-        legacy = ADPSolver().solve_ratio(query, database, 0.5)
-    modern = Session(database).solve_ratio(query, 0.5)
-    assert legacy.objective == modern.objective
-    assert legacy.k == modern.k
-
-
-def test_legacy_set_engine_mode_warns_and_routes_default_sessions():
-    database = _small_db()
-    query = parse_query(QUERY_TEXT)
-    try:
-        with pytest.warns(DeprecationWarning):
-            set_engine_mode("row")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = evaluate(query, database)
-        # The row engine materializes eager witnesses and no packed columns.
-        assert result.provenance is None
-    finally:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            set_engine_mode("columnar")
-
-
-def test_default_session_is_stable_per_database():
-    database = _small_db()
-    assert default_session(database) is default_session(database)
-    other = _small_db()
-    assert default_session(database) is not default_session(other)
-
-
-def test_closed_default_session_is_replaced():
-    # Closing the implicit session must not break the legacy shims forever.
-    database = _small_db()
-    query = parse_query(QUERY_TEXT)
-    with default_session(database):
-        pass
-    replacement = default_session(database)
-    assert not replacement._closed
-    with pytest.warns(DeprecationWarning):
-        assert compute_adp(query, database, 2).objective == 1
 
 
 def test_close_releases_interning_tables():

@@ -1,8 +1,11 @@
 """Unit tests for the synthetic workload generators."""
 
+import hashlib
+
+import pytest
 
 from repro.core.selection import Selection, selected_output_size
-from repro.engine.evaluate import evaluate
+from repro.session import Session
 from repro.workloads.queries import Q1, Q2, Q6, Q7, Q8, QPATH_EXP
 from repro.workloads.snap import EgoNetworkConfig, edge_count, generate_ego_edges, generate_ego_network
 from repro.workloads.synthetic import generate_q7_instance, generate_q8_instance
@@ -34,7 +37,7 @@ class TestTpchGenerator:
 
     def test_query_is_non_empty_and_selection_joins(self):
         database = generate_tpch(total_tuples=300, seed=1)
-        assert evaluate(Q1, database).output_count() > 0
+        assert Session(database).evaluate(Q1).output_count() > 0
         selected = selected_output_size(Q1, Selection.equals({"PK": SELECTED_PART_KEY}), database)
         assert selected > 0
 
@@ -70,7 +73,7 @@ class TestEgoNetworkGenerator:
     def test_queries_have_results(self):
         database = generate_ego_network(EgoNetworkConfig(nodes=50, seed=414))
         aligned = database.aligned_to(Q2)
-        assert evaluate(Q2, aligned).output_count() > 0
+        assert Session(aligned).evaluate(Q2).output_count() > 0
 
 
 class TestZipfGenerator:
@@ -97,21 +100,37 @@ class TestZipfGenerator:
 
         assert max_degree(skewed) > max_degree(uniform)
 
+    @pytest.mark.parametrize(
+        "r2_tuples, alpha, seed, digest",
+        [
+            (2000, 1.1, 13, "b2755e5772b7881f830f977bfd25a2b3aff45259cf9db0f6f42c149a801b542b"),
+            (20000, 0.8, 7, "c77c69a43961dd1818a61132ff6d7da172dc430660c93aa93170eb0ccf20a4f2"),
+            (60000, 1.1, 13, "d66c66e8cee345a4802af7b136340d5159b8127b77815b5a8a25c4ba6b46e1be"),
+        ],
+    )
+    def test_r2_is_byte_identical_to_recorded_draws(self, r2_tuples, alpha, seed, digest):
+        # Digests recorded from the per-draw ``choices(weights=...)`` generator;
+        # precomputed cumulative weights must draw the identical stream.
+        database = generate_zipf_path(r2_tuples=r2_tuples, alpha=alpha, seed=seed)
+        rows = sorted(database.relation("R2"))
+        assert len(rows) == r2_tuples
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
     def test_serves_both_q6_and_qpath(self):
         database = generate_zipf_path(r2_tuples=100, alpha=0.5, seed=1)
-        assert evaluate(QPATH_EXP, database).output_count() > 0
-        assert evaluate(Q6, database.restricted_to(("R1", "R2"))).output_count() > 0
+        assert Session(database).evaluate(QPATH_EXP).output_count() > 0
+        assert Session(database.restricted_to(("R1", "R2"))).evaluate(Q6).output_count() > 0
 
 
 class TestAblationGenerators:
     def test_q7_instance_joins(self):
         database = generate_q7_instance(tuples_per_relation=40, domain=20, seed=1)
-        assert evaluate(Q7, database).output_count() > 0
+        assert Session(database).evaluate(Q7).output_count() > 0
         assert set(database.relation_names) == {"R1", "R2", "R3", "R4"}
 
     def test_q8_instance_shape(self):
         database = generate_q8_instance(unary_tuples=6, binary_tuples=12, seed=1)
-        assert evaluate(Q8, database).output_count() > 0
+        assert Session(database).evaluate(Q8).output_count() > 0
         assert len(database.relation("R11")) == 6
         assert len(database.relation("R12")) == 12
 
