@@ -1,9 +1,10 @@
 """REP004: merge/packing paths never iterate in set order.
 
-The parallel merge (``parallel/merge.py``) reproduces the serial engine's
-output *byte-identically*: witness order is the lexicographic join-order
-tid tuple, and every consumer downstream (greedy tie-breaking, packed
-columns, the parity suites) depends on it.  Python set iteration order is
+The engine's packed provenance is *byte-identical* wherever it is built --
+across backends, across delta maintenance and rebuilds, and between the
+parent and the ``solve_many`` worker processes: witness order is the
+lexicographic join-order tid tuple, and every consumer downstream (greedy
+tie-breaking, packed columns, the parity suites) depends on it.  Python set iteration order is
 a function of element hashes -- and for strings, of the per-process hash
 seed -- so one ``for x in some_set`` feeding an ordered result makes the
 output process-dependent.  Dicts iterate in insertion order, which is

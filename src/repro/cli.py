@@ -9,10 +9,10 @@ without writing any Python:
   CSV files (one file per relation, written by
   :func:`repro.data.csvio.save_database_csv` or by hand);
 * ``explain`` -- print a query's plan (join order with tie-break rationale,
-  backend/partition cost-model verdicts, estimate-vs-actual cardinality
-  ledger) as a text tree or, with ``--json``, the same structured payload
+  the backend cost-model verdict, estimate-vs-actual cardinality ledger)
+  as a text tree or, with ``--json``, the same structured payload
   ``POST /v1/explain`` answers; the plan block and its fingerprint are
-  byte-identical across engines and backends;
+  byte-identical across backends;
 * ``trace`` -- render a recorded span tree (written by ``solve --trace-out``
   or fetched from the service's ``GET /v1/debug/slow``) as an indented text
   profile;
@@ -29,13 +29,11 @@ without writing any Python:
   it as a blocking job (see docs/INVARIANTS.md).
 
 ``solve`` runs through a :class:`repro.session.Session` bound to the loaded
-database: ``--engine`` picks the columnar or sharded parallel engine,
-``--workers N`` sets the degree of parallelism (default 1, keeping
-single-core runs bit-stable), and ``--json`` emits a machine-readable
-summary for scripting.  An empty query result is a successful (empty)
-answer, not an error: the summary is printed and the exit code is 0.
-``experiments --workers N`` likewise runs the figure harness's sessions on
-a worker pool.
+database; ``--backend`` picks the array kernels and ``--json`` emits a
+machine-readable summary for scripting.  An empty query result is a
+successful (empty) answer, not an error: the summary is printed and the
+exit code is 0.  ``serve --workers N`` sets the degree of each served
+session's ``solve_many`` process fan-out (default 1, no worker pool).
 
 Examples
 --------
@@ -67,11 +65,20 @@ from repro.core.mapping import hardness_certificate
 from repro.core.structures import diagnose
 from repro.core.solution import summarize_removed
 from repro.data.csvio import load_database_csv
-from repro.engine.evaluate import ENGINE_MODES
 from repro.experiments import figures
 from repro.experiments.report import render_results
 from repro.query.parser import parse_query
-from repro.session import Session
+from repro.session import Session, validate_workers
+
+
+def _worker_count(text: str) -> int:
+    """argparse type of ``--workers``: an integer >= 1 (else exit 2)."""
+    try:
+        return validate_workers(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        ) from None
 
 
 def _add_classify_parser(subparsers) -> None:
@@ -100,21 +107,6 @@ def _add_solve_parser(subparsers) -> None:
         "--counting-only",
         action="store_true",
         help="report only the objective value (faster, no tuple list)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINE_MODES,
-        default="columnar",
-        help="evaluation engine: columnar (default) or the sharded parallel "
-        "engine",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the parallel engine (default 1 = serial; "
-        "N > 1 implies --engine parallel)",
     )
     parser.add_argument(
         "--backend",
@@ -153,19 +145,6 @@ def _add_explain_parser(subparsers) -> None:
     parser.add_argument("query", help="datalog-style query")
     parser.add_argument(
         "database", help="directory with one <relation>.csv per relation"
-    )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINE_MODES,
-        default="columnar",
-        help="evaluation engine the execution block reports on",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the parallel engine",
     )
     parser.add_argument(
         "--backend",
@@ -212,14 +191,6 @@ def _add_experiments_parser(subparsers) -> None:
         action="store_true",
         help="use the figure functions' larger default grids",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the harness's sessions (default 1 = "
-        "serial, keeping the figure tables bit-stable)",
-    )
 
 
 def _add_serve_parser(subparsers) -> None:
@@ -231,12 +202,6 @@ def _add_serve_parser(subparsers) -> None:
         "--port", type=int, default=8080, help="TCP port (0 = ephemeral)"
     )
     parser.add_argument(
-        "--engine",
-        choices=ENGINE_MODES,
-        default="columnar",
-        help="evaluation engine for every served session",
-    )
-    parser.add_argument(
         "--backend",
         choices=["auto", "python", "numpy"],
         default="auto",
@@ -244,10 +209,11 @@ def _add_serve_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_worker_count,
         default=1,
         metavar="N",
-        help="worker processes per session (N > 1 implies the parallel engine)",
+        help="worker processes per session for the solve_many fan-out of "
+        "micro-batched solves (default 1 = no worker pool)",
     )
     parser.add_argument(
         "--threads",
@@ -434,7 +400,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        engine=args.engine,
         backend=args.backend,
         workers=args.workers,
         executor_threads=args.threads,
@@ -505,10 +470,7 @@ def _run_solve(args: argparse.Namespace) -> int:
 
     tracer = Tracer()
     with use_tracer(tracer):
-        with tracer.span(
-            "cli.solve", query=args.query, method=args.method,
-            engine=args.engine, workers=args.workers,
-        ):
+        with tracer.span("cli.solve", query=args.query, method=args.method):
             code = _solve_impl(args)
     print(render_span_tree(tracer.export(), tracer.trace_id), file=sys.stderr)
     if args.trace_out:
@@ -529,11 +491,8 @@ def _solve_impl(args: argparse.Namespace) -> int:
     heuristic = "greedy" if args.method == "auto" else args.method
     solver = ADPSolver(heuristic=heuristic, counting_only=args.counting_only)
 
-    with span("session.init", engine=args.engine, workers=args.workers):
-        session = Session(
-            database, engine=args.engine, workers=args.workers,
-            backend=args.backend,
-        )
+    with span("session.init"):
+        session = Session(database, backend=args.backend)
     prepared = session.prepare(query)
     total = session.output_size(prepared)
     if total == 0:
@@ -569,9 +528,7 @@ def _run_explain(args: argparse.Namespace) -> int:
 
     query = parse_query(args.query)
     database = load_database_csv(args.database)
-    session = Session(
-        database, engine=args.engine, workers=args.workers, backend=args.backend
-    )
+    session = Session(database, backend=args.backend)
     try:
         payload = session.explain(query, analyze=not args.no_analyze)
     finally:
@@ -602,16 +559,10 @@ def _run_trace(args: argparse.Namespace) -> int:
 
 
 def _run_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments import harness
-
-    harness.set_default_workers(args.workers)
-    try:
-        if args.only:
-            results = {args.only: figures.FIGURE_FUNCTIONS[args.only]()}
-        else:
-            results = figures.run_all(quick=not args.full)
-    finally:
-        harness.set_default_workers(1)
+    if args.only:
+        results = {args.only: figures.FIGURE_FUNCTIONS[args.only]()}
+    else:
+        results = figures.run_all(quick=not args.full)
     print(render_results(results))
     return 0
 

@@ -36,8 +36,9 @@ the Universe/Decompose recursions cost one join instead of several.  Cached
 
 Engine contexts (session-owned state)
 -------------------------------------
-The cache, the engine mode and the interning tables live on an
+The cache, the array backend and the interning tables live on an
 :class:`EngineContext`, which every :class:`repro.session.Session` owns.
+There is one evaluation path: the columnar join below.
 Library internals evaluate through :func:`evaluate_in_context`, which routes
 to the *active* context (set by ``Session`` methods via :func:`use_context`)
 or, outside any session, to a fresh uncached context.  ``Session`` is the
@@ -46,7 +47,6 @@ public entry point; there is no module-global cache.
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from contextlib import contextmanager
@@ -88,7 +88,6 @@ from repro.obs.trace import span
 from repro.query.cq import ConjunctiveQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.executor import ParallelExecutor
     from repro.query.atoms import Atom
 
 
@@ -289,7 +288,7 @@ def _join_order(query: ConjunctiveQuery) -> List[int]:
 def join_order_plan(query: ConjunctiveQuery) -> Tuple[int, ...]:
     """The engine's join order over the *non-vacuum* atoms of ``query``.
 
-    This is exactly the plan both engines execute; computing it once is part
+    This is exactly the plan the engine executes; computing it once is part
     of what :class:`repro.session.PreparedQuery` amortizes.  The returned
     indices address ``[a for a in query.atoms if not a.is_vacuum]`` and can be
     passed back to :func:`evaluate_columnar` via ``order=``.
@@ -334,40 +333,20 @@ def join_order_steps(query: ConjunctiveQuery) -> List[Dict[str, object]]:
     return records
 
 
-#: Engine modes an :class:`EngineContext` can run in.
-ENGINE_MODES = ("columnar", "parallel")
-
-
-def validate_engine(mode: str) -> str:
-    """``mode`` itself when it is one of :data:`ENGINE_MODES`, else ``ValueError``."""
-    if mode not in ENGINE_MODES:
-        raise ValueError(
-            f"unknown engine {mode!r}; valid engines: " + ", ".join(ENGINE_MODES)
-        )
-    return mode
-
-
 class EngineContext:
-    """Evaluation state owned by one session: cache, engine mode, interners.
+    """Evaluation state owned by one session: cache, backend, interners.
 
     An ``EngineContext`` bundles
 
-    * the **engine mode** (``"columnar"`` or ``"parallel"``),
+    * the **array backend** every evaluation of this context uses,
     * an :class:`~repro.engine.cache.EvaluationCache` (per-context, so one
-      tenant's evictions never touch another's),
+      tenant's evictions never touch another's), and
     * the **interning tables**: one :class:`RelationIndex` per
       ``(relation, version)``, shared across every evaluation this context
       runs, so repeated queries over the same relation do not re-intern its
-      tuples, and
-    * in ``"parallel"`` mode a lazily-started
-      :class:`~repro.parallel.executor.ParallelExecutor` (worker pool +
-      partition caches) that shards large joins across ``workers``
-      processes; the cost model routes small inputs to the serial columnar
-      path, and merged parallel results are byte-identical to serial ones,
-      so both engines share cache entries (canonical ``layout=None``).
+      tuples.
 
-    :class:`repro.session.Session` owns one context per session; the mode is
-    fixed at construction.
+    :class:`repro.session.Session` owns one context per session.
 
     Lazy builds (the interning tables here, the postings index on
     :class:`~repro.engine.columnar.ColumnarProvenance`) are lock-guarded, so
@@ -376,30 +355,22 @@ class EngineContext:
     """
 
     __slots__ = (
-        "mode",
         "cache",
         "backend",
         "_interners",
         "evaluations",
-        "workers",
-        "parallel_threshold",
-        "_executor",
         "_lock",
     )
 
     def __init__(
         self,
-        mode: str = "columnar",
         cache: Optional[EvaluationCache] = None,
-        workers: int = 1,
-        parallel_threshold: Optional[int] = None,
         backend: BackendLike = "auto",
     ) -> None:
-        self.mode = validate_engine(mode)
-        #: The array backend every columnar/parallel evaluation of this
-        #: context uses (see :mod:`repro.engine.backend`).  ``"auto"``
-        #: resolves to NumPy when installed, pure Python otherwise; results
-        #: are byte-identical either way.
+        #: The array backend every evaluation of this context uses (see
+        #: :mod:`repro.engine.backend`).  ``"auto"`` resolves to NumPy when
+        #: installed, pure Python otherwise; results are byte-identical
+        #: either way.
         self.backend = resolve_backend(backend)
         self.cache = cache if cache is not None else EvaluationCache()
         self._interners: "weakref.WeakKeyDictionary[Relation, Tuple[int, RelationIndex]]" = (
@@ -407,34 +378,13 @@ class EngineContext:
         )
         #: How many joins this context actually ran (cache hits excluded).
         self.evaluations = 0
-        if mode == "parallel" and workers <= 1:
-            workers = max(2, os.cpu_count() or 1)
-        self.workers = int(workers)
-        self.parallel_threshold = parallel_threshold
-        self._executor = None
         self._lock = threading.RLock()
 
     def release(self) -> None:
-        """Drop cache, interning tables and worker pool (session close)."""
+        """Drop cache and interning tables (session close)."""
         self.cache.clear()
         with self._lock:
             self._interners = weakref.WeakKeyDictionary()
-            if self._executor is not None:
-                self._executor.close()
-                self._executor = None
-
-    def executor(self) -> "Optional[ParallelExecutor]":
-        """The parallel executor (``None`` unless the mode is ``parallel``)."""
-        with self._lock:
-            if self.mode != "parallel":
-                return None
-            if self._executor is None:
-                from repro.parallel.executor import ParallelExecutor
-
-                self._executor = ParallelExecutor(
-                    self.workers, self.parallel_threshold
-                )
-            return self._executor
 
     def interned(self, relation: Relation) -> RelationIndex:
         """A :class:`RelationIndex` for the relation's *current* version.
@@ -476,29 +426,22 @@ class EngineContext:
         use_cache: bool = True,
         order: Optional[Sequence[int]] = None,
         query_key: Optional[Hashable] = None,
-        partition_key: Optional[str] = None,
     ) -> QueryResult:
         """Evaluate ``query`` over ``database`` with witness provenance.
 
         ``max_witnesses`` is a safety valve: ``RuntimeError`` once the join
         exceeds that many full-join rows (bounded evaluations bypass the
         cache).  ``use_cache`` memoizes the result keyed by (query canonical
-        form, database version); cached results are shared -- treat them as
-        immutable.  ``order``, ``query_key`` and ``partition_key`` let a
+        form, database version, backend); cached results are shared -- treat
+        them as immutable.  ``order`` and ``query_key`` let a
         :class:`~repro.session.PreparedQuery` supply its precomputed join
-        plan, canonical cache key and recorded shard key.  In ``parallel``
-        mode large joins are sharded across the worker pool (bounded
-        ``max_witnesses`` runs always stay serial -- the guard is an
-        interactive safety valve, not a throughput path); the merged result
-        is byte-identical to the serial engine's, so it is cached under the
-        same canonical key.
+        plan and canonical cache key.
         """
-        mode = self.mode
         cacheable = use_cache and max_witnesses is None
         backend_tag = self.backend.name
         with span("engine.evaluate") as esp:
             if esp:
-                esp.set(mode=mode, backend=backend_tag, atoms=len(query.atoms))
+                esp.set(backend=backend_tag, atoms=len(query.atoms))
             if cacheable:
                 cached = self.cache.lookup(
                     query, database, query_key=query_key, backend=backend_tag
@@ -511,7 +454,6 @@ class EngineContext:
                         stats.record(
                             {
                                 "op": "evaluate",
-                                "mode": mode,
                                 "backend": backend_tag,
                                 "cache": "hit",
                                 "witnesses": len(cached.witness_outputs),
@@ -519,28 +461,14 @@ class EngineContext:
                             }
                         )
                     return cached
-            result = None
-            if mode == "parallel" and max_witnesses is None:
-                executor = self.executor()
-                if executor is not None:
-                    result = executor.evaluate(
-                        self,
-                        query,
-                        database,
-                        order=order,
-                        query_key=query_key,
-                        partition_key=partition_key,
-                        use_cache=use_cache,
-                    )
-            if result is None:
-                result = evaluate_columnar(
-                    query,
-                    database,
-                    max_witnesses,
-                    order=order,
-                    index_for=self.interned,
-                    backend=self.backend,
-                )
+            result = evaluate_columnar(
+                query,
+                database,
+                max_witnesses,
+                order=order,
+                index_for=self.interned,
+                backend=self.backend,
+            )
             self.evaluations += 1
             if cacheable:
                 self.cache.store(
@@ -553,7 +481,6 @@ class EngineContext:
                 stats.record(
                     {
                         "op": "evaluate",
-                        "mode": mode,
                         "backend": backend_tag,
                         "cache": "miss" if cacheable else "bypass",
                         "witnesses": len(result.witness_outputs),
@@ -565,7 +492,7 @@ class EngineContext:
 
 #: The context evaluations route through when a session is active.  Session
 #: methods install their context here (contextvars make this safe under
-#: threads and asyncio, the substrate later sharding/async PRs build on).
+#: threads and asyncio).
 _ACTIVE_CONTEXT: "ContextVar[Optional[EngineContext]]" = ContextVar(
     "repro_engine_context", default=None
 )
@@ -596,7 +523,7 @@ def evaluate_in_context(
 
     Inside ``Session.solve`` / ``Session.evaluate`` (or any ``with
     session.activate():`` block) this is the session's own context (its
-    cache, its engine mode, its interners) -- including for the
+    cache, its backend, its interners) -- including for the
     sub-instances the Universe/Decompose recursions build.  Outside any
     session it evaluates on a fresh, uncached :class:`EngineContext`.
     """

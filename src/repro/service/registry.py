@@ -2,7 +2,7 @@
 
 The service never constructs a :class:`~repro.session.Session` per request
 -- the whole point of the session API is that the evaluation cache, the
-interning tables and (for parallel sessions) the worker pool amortize
+interning tables and (with ``workers > 1``) the worker pool amortize
 across requests.  The :class:`SessionRegistry` owns that mapping:
 
 * **names** -- clients address databases by name (``"tpch"``), never by
@@ -42,8 +42,7 @@ from typing import Iterable, Iterator, List, Optional
 from repro.data.database import Database
 from repro.data.relation import TupleRef
 from repro.engine.backend import resolve_backend
-from repro.engine.evaluate import validate_engine
-from repro.session import Session
+from repro.session import Session, validate_workers
 from repro.storage import OP_DELETE, OP_INSERT, DatabaseStore, StorageError
 
 
@@ -140,7 +139,6 @@ class SessionRegistry:
         self,
         capacity: int = 8,
         *,
-        engine: str = "columnar",
         backend: str = "auto",
         workers: int = 1,
         store: Optional[DatabaseStore] = None,
@@ -148,12 +146,10 @@ class SessionRegistry:
         if capacity < 1:
             raise ValueError(f"registry capacity must be >= 1, got {capacity}")
         # Fail at startup, not on every later register() as a client 400.
-        validate_engine(engine)
         resolve_backend(backend)  # raises on an unknown or unavailable backend
         self.capacity = int(capacity)
-        self.engine = engine
         self.backend = backend
-        self.workers = int(workers)
+        self.workers = validate_workers(workers)
         self.store = store
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, RegisteredDatabase]" = OrderedDict()
@@ -180,7 +176,7 @@ class SessionRegistry:
         ``replace=False`` raises :class:`DuplicateDatabaseError` when the
         name is taken (HTTP 409); ``replace=True`` closes and supersedes the
         old entry.  A custom ``session`` may be supplied (tests); by
-        default one is created with the registry's engine/backend/workers.
+        default one is created with the registry's backend/workers.
 
         With a store attached, re-registering a name that lives on disk but
         is not resident (evicted, or persisted by a previous process)
@@ -205,10 +201,7 @@ class SessionRegistry:
         owned = session is None
         if session is None:
             session = Session(
-                database,
-                engine=self.engine,
-                backend=self.backend,
-                workers=self.workers,
+                database, backend=self.backend, workers=self.workers
             )
         entry = RegisteredDatabase(name, database, session)
         superseded: List[RegisteredDatabase] = []
@@ -282,7 +275,7 @@ class SessionRegistry:
         """Recover ``name`` from the store and install it (LRU rules apply)."""
         assert self.store is not None
         recovered = self.store.load(
-            name, engine=self.engine, backend=self.backend, workers=self.workers
+            name, backend=self.backend, workers=self.workers
         )
         entry = RegisteredDatabase(name, recovered.database, recovered.session)
         entry.version = recovered.version

@@ -44,7 +44,6 @@ def solution_payload(
     return {
         "query": str(prepared.query),
         "classification": prepared.classification,
-        "engine": session.engine,
         "backend": session.backend,
         "workers": session.workers,
         "output_size": total,
@@ -72,7 +71,6 @@ def prepare_payload(prepared: "PreparedQuery") -> dict:
         "is_connected": prepared.is_connected,
         "universal_attributes": sorted(prepared.universal_attributes),
         "join_order": list(prepared.join_order),
-        "partition_key": prepared.partition_key,
     }
 
 
@@ -139,12 +137,11 @@ def database_to_wire(database: "Database") -> dict:
 
 
 def database_payload(name: str, version: int, database: "Database", *,
-                     backend: str, engine: str, workers: int) -> dict:
+                     backend: str, workers: int) -> dict:
     """The JSON schema of one registry entry (``GET /v1/databases``)."""
     return {
         "name": name,
         "version": version,
-        "engine": engine,
         "backend": backend,
         "workers": workers,
         "relations": {r.name: len(r) for r in database},

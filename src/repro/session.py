@@ -8,8 +8,8 @@ connection object:
 * :class:`PreparedQuery` -- parse + dichotomy classification + join-order
   plan, computed **once** and reusable across databases and targets ``k``;
 * :class:`Session` -- binds one :class:`~repro.data.database.Database` and
-  owns all evaluation state: the evaluation cache, the engine mode (serial
-  columnar vs parallel), the relation interning tables and the usage
+  owns all evaluation state: the evaluation cache, the array backend, the
+  relation interning tables, the ``solve_many`` worker pool and the usage
   statistics.  On top it exposes the batched and incremental
   capabilities that were previously internal-only:
 
@@ -49,13 +49,14 @@ Thread- and process-safety contract
   (or any in-place database
   mutation) must not run concurrently with reads on the same session;
   relation versions make stale cache reads impossible, but the migration
-  itself assumes a quiescent session.  The parallel subsystem respects this
-  by construction: workers receive immutable row batches and never touch
-  the parent's database.
-* **Worker processes share nothing.**  ``Session(workers=N)`` ships
-  interned column batches to per-shard worker state over pipes; results are
-  merged byte-identically in the parent.  Sessions themselves must not be
-  shared across processes.
+  itself assumes a quiescent session.  The worker pool respects this by
+  construction: workers receive an immutable copy of the database per
+  version and never touch the parent's.
+* **Worker processes share nothing.**  ``Session(workers=N)`` ships the
+  bound database (rows in interned order) to its pool once per version and
+  dispatches ``solve_many`` hard-leaf groups to it; the solutions that come
+  back are byte-identical to the serial path's.  Sessions themselves must
+  not be shared across processes.
 
 Example
 -------
@@ -75,6 +76,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import (
@@ -107,10 +109,14 @@ from repro.engine.evaluate import (
     QueryResult,
     join_order_plan,
     use_context,
-    validate_engine,
 )
 from repro.obs.trace import span, tracing_active
-from repro.parallel.partition import choose_partition_key
+from repro.parallel.pool import (
+    PoolBrokenError,
+    WorkerPool,
+    WorkerStoreMiss,
+    WorkerTaskError,
+)
 from repro.query.cq import ConjunctiveQuery
 from repro.query.graph import QueryGraph
 from repro.query.parser import parse_query
@@ -137,10 +143,6 @@ class PreparedQuery:
     join_order:
         The engine's join order over the non-vacuum atoms (passed back to the
         columnar engine so it is never recomputed).
-    partition_key:
-        The attribute the parallel engine would hash-partition this query on
-        (``None`` when nothing is partitionable); recorded here so parallel
-        sessions never re-derive the shard layout per solve.
     is_poly_time:
         ``IsPtime(Q)`` -- whether ``ComputeADP`` returns exact optima.
     is_singleton:
@@ -156,7 +158,6 @@ class PreparedQuery:
         "query",
         "canonical_key",
         "join_order",
-        "partition_key",
         "is_poly_time",
         "is_singleton",
         "universal_attributes",
@@ -172,17 +173,16 @@ class PreparedQuery:
         self.query: ConjunctiveQuery = query
         self.canonical_key = canonical_query_key(query)
         self.join_order: Tuple[int, ...] = join_order_plan(query)
-        self.partition_key: Optional[str] = choose_partition_key(query)
         self.is_poly_time: bool = is_poly_time(query)
         self.is_singleton: bool = is_singleton(query)
         self.universal_attributes: FrozenSet[str] = query.universal_attributes()
         self.is_connected: bool = QueryGraph(query).is_connected()
-        #: A short stable digest of (canonical key, join order, partition
-        #: key) -- what the slow-query log and the trace profiles report as
-        #: the *plan identity* of a request, so operators can group slow
-        #: requests by plan without shipping whole query objects around.
+        #: A short stable digest of (canonical key, join order) -- what the
+        #: slow-query log and the trace profiles report as the *plan
+        #: identity* of a request, so operators can group slow requests by
+        #: plan without shipping whole query objects around.
         self.plan_fingerprint: str = hashlib.sha1(
-            repr((self.canonical_key, self.join_order, self.partition_key)).encode()
+            repr((self.canonical_key, self.join_order)).encode()
         ).hexdigest()[:12]
 
     # Convenience views ------------------------------------------------- #
@@ -351,6 +351,21 @@ def _is_leaf_group(prepared: "PreparedQuery") -> bool:
     )
 
 
+def validate_workers(workers: int) -> int:
+    """``workers`` as an ``int`` when it is at least 1, else ``ValueError``."""
+    count = int(workers)
+    if count < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    return count
+
+
+def _release(context: EngineContext, pools: List[WorkerPool]) -> None:
+    """Session teardown: drop the context's state and close the worker pool."""
+    context.release()
+    while pools:
+        pools.pop().close()
+
+
 def _canonical_key_of(query: QueryLike):
     if isinstance(query, PreparedQuery):
         return query.canonical_key
@@ -370,29 +385,21 @@ class Session:
         relation versions (stale cache entries are never served), but only
         :meth:`apply_deletions` / :meth:`apply_insertions` migrate cached
         results incrementally.
-    engine:
-        ``"columnar"`` (default) or ``"parallel"`` -- the per-session engine
-        mode, fixed for the session's lifetime.
     backend:
-        The array backend for the columnar/parallel kernels
+        The array backend for the columnar kernels
         (:mod:`repro.engine.backend`): ``"auto"`` (default -- NumPy when
         installed, pure Python otherwise), ``"numpy"`` (raise if NumPy is
         missing) or ``"python"``.  Results are **byte-identical** across
         backends (same witness order, same tie-breaking, same packed
         layout); only the column representation and the speed differ.
     workers:
-        Degree of parallelism.  ``workers > 1`` (or ``engine="parallel"``,
-        which defaults to the CPU count) switches the session onto the
-        sharded execution subsystem (:mod:`repro.parallel`): large joins
-        are hash-partitioned across a persistent worker pool and
-        ``solve_many`` dispatches distinct query groups to workers
-        concurrently.  Results are byte-identical to the serial columnar
-        engine; a cost model keeps small inputs on the serial path, so
-        ``workers=1`` (the default) is exactly the previous behaviour.
-    parallel_threshold:
-        Cost-model floor (input tuples in partitioned relations) below
-        which parallel sessions still evaluate serially; defaults to
-        :data:`repro.parallel.partition.MIN_PARTITION_TUPLES`.
+        Degree of the :meth:`solve_many` process fan-out (must be >= 1).
+        With ``workers > 1`` a batch's distinct hard-leaf query groups are
+        solved concurrently on a persistent worker pool
+        (:mod:`repro.parallel`), started on first use; solutions are
+        byte-identical to the serial path.  Every other method -- and
+        every evaluation -- runs in this process either way, so
+        ``workers=1`` (the default) differs only in never starting a pool.
     config:
         Default :class:`~repro.core.adp.SolverConfig` for :meth:`solve` /
         :meth:`solve_many` / :meth:`curve`; per-call overrides win.
@@ -406,21 +413,18 @@ class Session:
         self,
         database: Database,
         *,
-        engine: str = "columnar",
         backend: str = "auto",
         workers: int = 1,
-        parallel_threshold: Optional[int] = None,
         config: Optional[SolverConfig] = None,
     ):
-        validate_engine(engine)
+        self._workers = validate_workers(workers)
         self.database = database
-        workers = int(workers)
-        self._context = EngineContext(
-            mode="parallel" if workers > 1 else engine,
-            workers=workers,
-            parallel_threshold=parallel_threshold,
-            backend=backend,
-        )
+        self._context = EngineContext(backend=backend)
+        #: The ``solve_many`` worker pool once started (a list, so the GC
+        #: finalizer below sees a pool started after construction).
+        self._pools: List[WorkerPool] = []
+        self._pool_failed = False
+        self._pool_lock = threading.Lock()
         self._config = config or SolverConfig()
         self._prepared: Dict[object, PreparedQuery] = {}
         self._counters = {
@@ -435,12 +439,12 @@ class Session:
         }
         self._closed = False
         # Deterministic teardown net: a session releases its context --
-        # cache, interners and, crucially, the parallel worker pool -- when
-        # garbage collected, not just on an explicit close().  Without this,
-        # a dropped parallel session leaks its worker processes until
-        # interpreter exit.  close() runs the same finalizer explicitly.
+        # cache, interners and, crucially, the worker pool -- when garbage
+        # collected, not just on an explicit close().  Without this, a
+        # dropped session leaks its worker processes until interpreter exit.
+        # close() runs the same finalizer explicitly.
         self._finalizer = weakref.finalize(
-            self, EngineContext.release, self._context
+            self, _release, self._context, self._pools
         )
 
     # ------------------------------------------------------------------ #
@@ -460,7 +464,7 @@ class Session:
     def close(self) -> None:
         """Release the session's cache, interning tables and worker pool.
 
-        Idempotent and deterministic: after ``close()`` returns, a parallel
+        Idempotent and deterministic: after ``close()`` returns, the
         session's worker processes have exited (the pool drains and joins
         them) -- the guarantee the service registry's LRU eviction relies
         on.  The same release also runs via a GC finalizer when an unclosed
@@ -487,22 +491,47 @@ class Session:
         return use_context(self._context)
 
     # ------------------------------------------------------------------ #
-    # Engine mode
+    # Execution settings and the worker pool
     # ------------------------------------------------------------------ #
     @property
-    def engine(self) -> str:
-        """This session's engine mode (``columnar`` or ``parallel``)."""
-        return self._context.mode
-
-    @property
     def workers(self) -> int:
-        """Degree of parallelism (1 unless the engine mode is ``parallel``)."""
-        return self._context.workers if self._context.mode == "parallel" else 1
+        """Degree of the :meth:`solve_many` process fan-out."""
+        return self._workers
 
     @property
     def backend(self) -> str:
         """The resolved array backend (``"python"`` or ``"numpy"``)."""
         return self._context.backend.name
+
+    def _worker_pool(self) -> Optional[WorkerPool]:
+        """The ``solve_many`` worker pool, started lazily; ``None`` if unusable.
+
+        A pool that fails to start, fails its start ping or cannot run
+        ``solve_group`` tasks (see :meth:`WorkerPool.supports_solve_groups`)
+        marks the session pool-less for good: ``solve_many`` then always
+        takes the serial path.
+        """
+        with self._pool_lock:
+            if self._pool_failed:
+                return None
+            if not self._pools:
+                try:
+                    pool = WorkerPool(self._workers)
+                    if not (pool.supports_solve_groups() and pool.ping()):
+                        pool.close()
+                        raise RuntimeError("worker pool cannot run solve groups")
+                except Exception:
+                    self._pool_failed = True
+                    return None
+                self._pools.append(pool)
+            return self._pools[0]
+
+    def _mark_pool_failed(self) -> None:
+        """Stop dispatching to the pool (a worker died) and shut it down."""
+        with self._pool_lock:
+            self._pool_failed = True
+            while self._pools:
+                self._pools.pop().close()
 
     # ------------------------------------------------------------------ #
     # Preparing and evaluating
@@ -559,17 +588,16 @@ class Session:
                 use_cache,
                 order=prepared.join_order,
                 query_key=prepared.canonical_key,
-                partition_key=prepared.partition_key,
             )
 
     def explain(self, query: QueryLike, analyze: bool = True) -> Dict[str, object]:
         """The structured EXPLAIN payload for ``query`` on this session.
 
         The ``"plan"`` block (fingerprint, decomposition, join order with
-        tie-break rationale, partition key, static cardinality estimates)
-        is engine- and backend-independent; the ``"execution"`` block
-        carries the cost-model verdicts and, with ``analyze=True``, the
-        estimate-vs-actual ledger from one instrumented evaluation.  See
+        tie-break rationale, static cardinality estimates) is independent
+        of the backend and the worker count; the ``"execution"`` block
+        carries the backend cost-model verdict and, with ``analyze=True``,
+        the estimate-vs-actual ledger from one instrumented evaluation.  See
         ``docs/OBSERVABILITY.md`` for the schema.
         """
         self._check_open()
@@ -628,7 +656,6 @@ class Session:
                 self.database,
                 order=prepared.join_order,
                 query_key=prepared.canonical_key,
-                partition_key=prepared.partition_key,
             )
             return chosen.solve_in_context(
                 prepared.query, self.database, k, result=result
@@ -670,7 +697,7 @@ class Session:
         group's largest ``k``; every smaller target is then read off that
         curve.  Results come back in request order.
 
-        On a parallel session (``workers > 1``) distinct **hard-leaf**
+        With ``workers > 1`` the distinct **hard-leaf**
         query groups -- those ``ComputeADP`` solves directly on the
         top-level evaluation (NP-hard, connected, non-singleton, no
         universal attribute, non-boolean) -- are dispatched to the worker
@@ -681,8 +708,7 @@ class Session:
         recurses into sub-instances (Universe/Decompose/Singleton/Boolean)
         stay parent-side: sub-instance construction iterates relation
         *sets*, whose order is process-dependent, so only the leaf path can
-        guarantee serial-identical solutions by construction.  Within one
-        group, a large evaluation is additionally sharded.  Any pool
+        guarantee serial-identical solutions by construction.  Any pool
         problem silently falls back to the serial path.
         """
         self._check_open()
@@ -702,7 +728,7 @@ class Session:
         with span("session.solve_many") as msp:
             if msp:
                 msp.set(requests=len(request_list), groups=len(groups))
-            if self._context.mode == "parallel" and self._context.workers > 1:
+            if self._workers > 1:
                 leaf_groups = {
                     key: positions
                     for key, positions in groups.items()
@@ -726,7 +752,6 @@ class Session:
                         self.database,
                         order=prepared.join_order,
                         query_key=prepared.canonical_key,
-                        partition_key=prepared.partition_key,
                     )
                     curve = chosen.curve(prepared.query, self.database, kmax)
                     for position, k in zip(positions, targets):
@@ -757,28 +782,20 @@ class Session:
         pipe would usually cost more than the join it saves.  Repeat
         batches are therefore cheap (the workers hold everything), while a
         follow-up single-query ``solve``/``what_if`` on the parent
-        re-evaluates there (shard-parallel when large enough) and warms the
-        parent cache on first use.
+        re-evaluates there and warms the parent cache on first use.
         """
-        executor = self._context.executor()
-        pool = executor.pool() if executor is not None else None
-        if pool is None or not pool.supports_solve_groups():
+        pool = self._worker_pool()
+        if pool is None:
             return False
-        did = executor.db_id(self.database)
-        if did is None:
-            return False
-        dbkey = (did, self.database.version_token())
-        from repro.parallel.pool import (
-            PoolBrokenError,
-            WorkerStoreMiss,
-            WorkerTaskError,
-        )
-
+        # The pool serves this session's one database, so its version token
+        # alone identifies the worker-resident copy.
+        dbkey = self.database.version_token()
         group_items = list(groups.items())
         collect = tracing_active()
 
         def build_tasks():
             tasks = []
+            spec = None
             for index, (_gkey, positions) in enumerate(group_items):
                 worker = index % pool.size
                 prepared = request_list[positions[0]][0]
@@ -797,16 +814,9 @@ class Session:
                         "query": prepared.name,
                     }
                 if not pool.has_key(worker, "db", dbkey):
-                    # Ship rows in this session's interned order, so worker
-                    # witness order (and heuristic tie-breaking) matches the
-                    # serial engine bit for bit.
-                    payload["database"] = {
-                        relation.name: (
-                            relation.attributes,
-                            self._context.interned(relation).rows,
-                        )
-                        for relation in self.database
-                    }
+                    if spec is None:
+                        spec = self._database_spec()
+                    payload["database"] = spec
                     pool.remember(worker, "db", dbkey)
                 tasks.append((worker, payload))
             return tasks
@@ -828,7 +838,7 @@ class Session:
                         spans_out = [None] * len(group_items)
                     results = pool.run(build_tasks(), spans_out)
             except PoolBrokenError:
-                executor.mark_pool_failed()
+                self._mark_pool_failed()
                 return False
             except (WorkerTaskError, WorkerStoreMiss):
                 # A task failed inside a healthy worker -- e.g. an infeasible
@@ -846,6 +856,21 @@ class Session:
             for position, solution in zip(positions, outcome["solutions"]):
                 solutions[position] = solution
         return True
+
+    def _database_spec(self) -> Dict[str, tuple]:
+        """The bound database as shipped to workers: per relation
+        ``(attributes, rows in this session's interned order)``.
+
+        The context's interning table of a relation's current version holds
+        exactly its live rows, so the worker rebuilds the same database and
+        the same table, and its witness order -- and heuristic tie-breaking
+        -- matches the serial path bit for bit.
+        """
+        interned = self._context.interned
+        return {
+            relation.name: (relation.attributes, interned(relation).rows)
+            for relation in self.database
+        }
 
     def curve(
         self,
@@ -873,7 +898,6 @@ class Session:
                 self.database,
                 order=prepared.join_order,
                 query_key=prepared.canonical_key,
-                partition_key=prepared.partition_key,
             )
             return chosen.curve(prepared.query, self.database, kmax)
 
@@ -919,7 +943,6 @@ class Session:
                     self.database,
                     order=prepared.join_order,
                     query_key=prepared.canonical_key,
-                    partition_key=prepared.partition_key,
                 )
                 entries[prepared] = WhatIfEntry(prepared, before, frozen)
         return WhatIfResult(frozen, entries)
@@ -942,11 +965,9 @@ class Session:
             old_token = self.database.version_token()
             removed = self.database.remove_tuples(ref_list)
             new_token = self.database.version_token()
-            for (query_key, token, layout, backend_tag), result in snapshot.items():
+            for (query_key, token, backend_tag), result in snapshot.items():
                 if token != old_token:
                     continue  # already stale before the deletion
-                if layout is not None:
-                    continue  # shard payloads are re-partitioned, not migrated
                 migrated = (
                     result if removed == 0 else delta_filter_result(result, ref_list)
                 )
@@ -1042,11 +1063,9 @@ class Session:
                     and row in self.database.relation(name)
                 )
 
-            for (query_key, token, layout, backend_tag), result in snapshot.items():
+            for (query_key, token, backend_tag), result in snapshot.items():
                 if token != old_token:
                     continue  # already stale before the insertion
-                if layout is not None:
-                    continue  # shard payloads are re-partitioned, not migrated
                 if added == 0:
                     migrated = result
                 else:
@@ -1071,15 +1090,23 @@ class Session:
     def clear_cache(self) -> None:
         """Drop this session's memoized evaluation results.
 
-        On a parallel session this also clears the caches held by live
-        workers (their interning tables and resident databases survive), so
-        a cleared session genuinely re-evaluates everywhere.
+        With a running worker pool this also clears the caches held by the
+        workers (their resident databases and interning tables survive), so
+        a cleared session genuinely re-evaluates everywhere.  Clearing never
+        *starts* a pool.
         """
         self._check_open()
         self._context.cache.clear()
-        executor = self._context._executor
-        if executor is not None:
-            executor.clear_worker_caches()
+        with self._pool_lock:
+            pool = self._pools[0] if self._pools else None
+        if pool is None:
+            return
+        try:
+            pool.clear_caches()
+        except PoolBrokenError:
+            self._mark_pool_failed()
+        except WorkerTaskError:  # pragma: no cover - clear cannot really fail
+            pass
 
     @property
     def stats(self) -> SessionStats:
@@ -1093,9 +1120,9 @@ class Session:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else self._context.mode
+        state = "closed" if self._closed else "open"
         return (
-            f"Session({self.database!s}, engine={state}, "
+            f"Session({self.database!s}, {state}, workers={self._workers}, "
             f"prepared={len(self._prepared)})"
         )
 
@@ -1107,4 +1134,5 @@ __all__ = [
     "WhatIfEntry",
     "WhatIfResult",
     "prepare",
+    "validate_workers",
 ]

@@ -215,10 +215,10 @@ class DatabaseStore:
         token = database.version_token()
         kept: List[QueryResult] = []
         seen_keys = set()
-        for (query_key, tok, layout, _backend), result in context.cache.entries_snapshot(
+        for (query_key, tok, _backend), result in context.cache.entries_snapshot(
             database
         ).items():
-            if tok != token or layout is not None:
+            if tok != token:
                 continue
             if query_key in seen_keys:
                 continue
@@ -395,7 +395,6 @@ class DatabaseStore:
         self,
         name: str,
         *,
-        engine: str = "columnar",
         backend: str = "auto",
         workers: int = 1,
     ) -> RecoveredDatabase:
@@ -428,12 +427,19 @@ class DatabaseStore:
                 indexes[rel_snap.name] = RelationIndex.from_rows(
                     rel_snap.name, rel_snap.attributes, rel_snap.interned_rows
                 )
-            session = Session(
-                database, engine=engine, backend=backend, workers=workers
-            )
+            session = Session(database, backend=backend, workers=workers)
             context = session._context
-            for rel_name, index in indexes.items():
-                context.seed_index(database.relation(rel_name), index)
+            for rel_snap in payload.relations:
+                index = indexes[rel_snap.name]
+                if rel_snap.dead_tids:
+                    # The restored provenance keeps referring to deleted
+                    # rows' tids, but a fresh join over this table would
+                    # resurrect them: fresh evaluations get the live rows,
+                    # in the same order.
+                    index = RelationIndex.from_rows(
+                        rel_snap.name, rel_snap.attributes, rel_snap.live_rows()
+                    )
+                context.seed_index(database.relation(rel_snap.name), index)
             backend_obj = context.backend
             token = database.version_token()
             for result_snap in payload.results:

@@ -89,7 +89,8 @@ class TestSolveCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["k"] == 2
         assert payload["objective"] == 1
-        assert payload["engine"] == "columnar"
+        assert payload["workers"] == 1
+        assert "engine" not in payload
         assert payload["classification"] in ("poly-time", "np-hard")
         assert isinstance(payload["removed"], list) and payload["removed"]
 
@@ -109,7 +110,19 @@ class TestSolveCommand:
         with pytest.raises(SystemExit) as exit_info:
             main(args + ["--engine", "row"])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'row'" in capsys.readouterr().err
+        assert "unrecognized arguments: --engine row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra", [["--engine", "columnar"], ["--workers", "2"]]
+    )
+    def test_solve_rejects_the_removed_engine_and_workers_options(
+        self, capsys, csv_database, extra
+    ):
+        args = ["solve", "Q(A, B) :- R1(A), R2(A, B)", str(csv_database), "--k", "2"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + extra)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_k_and_ratio_are_mutually_exclusive(self, csv_database):
         with pytest.raises(SystemExit):
@@ -157,20 +170,12 @@ class TestExplainCommand:
         self, capsys, csv_database
     ):
         """Golden snapshot: the plan block (fingerprint included) must be
-        byte-identical across --engine columnar|parallel and
-        --backend python|numpy."""
+        byte-identical across --backend auto|python|numpy."""
         from repro.engine.backend import numpy_available
 
-        variants = [
-            [],
-            ["--engine", "parallel", "--workers", "2"],
-            ["--backend", "python"],
-        ]
+        variants = [[], ["--backend", "python"]]
         if numpy_available():
             variants.append(["--backend", "numpy"])
-            variants.append(
-                ["--engine", "parallel", "--workers", "2", "--backend", "numpy"]
-            )
         plans = set()
         fingerprints = set()
         for extra in variants:

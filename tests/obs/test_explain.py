@@ -53,8 +53,10 @@ def test_payload_structure_and_fingerprint_reuse():
     assert [s["relation"] for s in plan["join_order"]] == ["R", "S"]
     assert all(s["reason"] for s in plan["join_order"])
     assert plan["estimates"]["assumption"] == "uniform-independence"
+    assert "partition_key" not in plan and "partition_reason" not in plan
     execution = payload["execution"]
-    assert execution["engine"] == "columnar"
+    assert execution["workers"] == 1
+    assert "engine" not in execution and "partition" not in execution
     assert execution["analyzed"] is True
     assert execution["cache"] in {"miss", "bypass"}
     ops = {record["op"] for record in execution["operators"]}
@@ -108,16 +110,17 @@ def test_render_text_mentions_plan_and_ledger():
 
 
 # --------------------------------------------------------------------------- #
-# Golden snapshot: the plan block is engine- and backend-independent
+# Golden snapshot: the plan block is independent of the execution settings
 # --------------------------------------------------------------------------- #
 def test_plan_block_byte_identical_across_engines_and_backends():
+    """Every backend and worker count yields one plan block."""
     configs = [
-        {"engine": "columnar", "backend": "python"},
-        {"engine": "parallel", "workers": 2, "backend": "python"},
+        {"workers": 1, "backend": "python"},
+        {"workers": 2, "backend": "python"},
     ]
     if numpy_available():
-        configs.append({"engine": "columnar", "backend": "numpy"})
-        configs.append({"engine": "parallel", "workers": 2, "backend": "numpy"})
+        configs.append({"workers": 1, "backend": "numpy"})
+        configs.append({"workers": 2, "backend": "numpy"})
     snapshots = {}
     for config in configs:
         with Session(small_db(), **config) as session:

@@ -2,12 +2,14 @@
 
 Two contracts:
 
-* **Solution parity** -- a traced solve returns a byte-identical solution
-  to an untraced one, on both backends and on the serial (K=1) and
-  inline-sharded (K=2) paths.  Tracing observes; it never steers.
+* **Solution parity** -- a traced ``solve_many`` returns byte-identical
+  solutions to an untraced one, on both backends, serially (workers=1) and
+  through the worker-pool fan-out (workers=2).  Tracing observes; it never
+  steers.
 * **Cross-process propagation** -- with a real fork pool, the serialized
-  child spans every worker returns are grafted under the dispatch span of
-  the evaluation that shipped the task, labelled with their shard.
+  ``worker.task`` span every worker returns for a ``solve_group`` task is
+  grafted under the ``parallel.solve_groups`` span that dispatched it,
+  labelled with its group.
 """
 
 from __future__ import annotations
@@ -20,31 +22,37 @@ from repro.session import Session
 from repro.workloads.zipf import generate_zipf_path
 
 QUERY = "Qh(A) :- R1(A), R2(A, B), R3(B)"
+#: Two distinct hard-leaf groups: the batch shape solve_many fans out.
+REQUESTS = [(QUERY, 3), ("Qm(B) :- R1(A), R2(A, B), R3(B)", 3), (QUERY, 1)]
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+
+
+def canonical(solutions):
+    """Solutions in wire form (removed refs sorted, as the service sends
+    them): a frozenset's repr follows its construction history, which a
+    worker's unpickled copy does not share."""
+    return [
+        (s.k, s.size, s.objective, s.removed_outputs, s.optimal, s.method,
+         sorted(str(ref) for ref in s.removed))
+        for s in solutions
+    ]
 
 
 def make_db():
     return generate_zipf_path(r2_tuples=300, alpha=0.8, seed=11)
 
 
-def run_solve(backend: str, shards: int, tracer=None):
-    """One fresh-session solve; returns (solution, exported spans)."""
-    session = Session(
-        make_db(), backend=backend, workers=shards,
-        parallel_threshold=0 if shards > 1 else None,
-    )
-    if shards > 1:
-        # Force the inline shard path: same shard/merge code the workers
-        # run, without subprocess variance.
-        session._context.executor()._pool_failed = True
+def run_batch(backend: str, workers: int, tracer=None):
+    """One fresh-session batch; returns (solutions, exported spans, pooled)."""
+    session = Session(make_db(), backend=backend, workers=workers)
     try:
-        prepared = session.prepare(QUERY)
+        pooled = workers > 1 and session._worker_pool() is not None
         if tracer is None:
-            return session.solve(prepared, 3, heuristic="greedy"), []
+            return session.solve_many(REQUESTS, heuristic="greedy"), [], pooled
         with use_tracer(tracer):
-            solution = session.solve(prepared, 3, heuristic="greedy")
-        return solution, tracer.export()
+            solutions = session.solve_many(REQUESTS, heuristic="greedy")
+        return solutions, tracer.export(), pooled
     finally:
         session.close()
 
@@ -60,58 +68,52 @@ def span_names(spans):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("shards", [1, 2])
-def test_traced_solve_is_byte_identical(backend, shards):
-    baseline, _ = run_solve(backend, shards)
-    traced, spans = run_solve(backend, shards, Tracer())
-    assert repr(traced) == repr(baseline)
-    assert traced.objective == baseline.objective
+@pytest.mark.parametrize("workers", [1, 2])
+def test_traced_solve_is_byte_identical(backend, workers):
+    baseline, _, _ = run_batch(backend, workers)
+    traced, spans, pooled = run_batch(backend, workers, Tracer())
+    assert canonical(traced) == canonical(baseline)
     names = span_names(spans)
-    assert "session.solve" in names
+    assert "session.solve_many" in names
     assert "engine.evaluate" in names
     assert "solver.greedy" in names
-    if shards > 1:
-        assert "parallel.shard" in names or "parallel.dispatch" in names
+    assert ("parallel.solve_groups" in names) == pooled
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_unsampled_tracer_is_byte_identical_and_empty(backend):
-    baseline, _ = run_solve(backend, 1)
-    traced, spans = run_solve(backend, 1, Tracer(enabled=False))
+    baseline, _, _ = run_batch(backend, 1)
+    traced, spans, _ = run_batch(backend, 1, Tracer(enabled=False))
     assert repr(traced) == repr(baseline)
     assert spans == []
 
 
-def test_worker_spans_graft_under_their_dispatch_span():
-    session = Session(make_db(), workers=2, parallel_threshold=0)
-    try:
-        tracer = Tracer()
-        prepared = session.prepare(QUERY)
-        with use_tracer(tracer):
-            baseline = session.solve(prepared, 3, heuristic="greedy")
-        assert baseline.removed_outputs >= 3
-        dispatches = [
-            node
-            for node in _walk(tracer.export())
-            if node["name"] == "parallel.dispatch"
-        ]
-        assert dispatches, "no parallel.dispatch span was recorded"
-        pooled = [d for d in dispatches if d.get("attrs", {}).get("pooled")]
-        if not pooled:  # the pool failed to start; inline path has no workers
-            pytest.skip("worker pool unavailable on this platform")
-        (dispatch,) = pooled
-        workers = [
-            child
-            for child in dispatch.get("children", ())
-            if child["name"] == "worker.task"
-        ]
-        assert workers, "worker child spans were not grafted"
-        shards = sorted(w["attrs"]["shard"] for w in workers)
-        assert shards == list(range(len(workers)))
-        assert all(w["dur_ms"] >= 0.0 for w in workers)
-        assert all(w["attrs"]["kind"] == "evaluate_shard" for w in workers)
-    finally:
-        session.close()
+def test_solve_group_spans_graft_under_their_dispatch_span():
+    serial, _, _ = run_batch("python", 1)
+    untraced, _, pooled = run_batch("python", 2)
+    if not pooled:
+        pytest.skip("worker pool unavailable on this platform")
+    traced, spans, _ = run_batch("python", 2, Tracer())
+    assert canonical(traced) == canonical(untraced) == canonical(serial)
+    dispatches = [
+        node for node in _walk(spans) if node["name"] == "parallel.solve_groups"
+    ]
+    assert len(dispatches) == 1, "the batch dispatched exactly once"
+    (dispatch,) = dispatches
+    groups = len({query for query, _k in REQUESTS})
+    assert dispatch["attrs"]["groups"] == groups
+    tasks = [
+        child
+        for child in dispatch.get("children", ())
+        if child["name"] == "worker.task"
+    ]
+    assert len(tasks) == groups, "one grafted worker.task per group"
+    assert all(task["attrs"]["kind"] == "solve_group" for task in tasks)
+    assert sorted(task["attrs"]["group"] for task in tasks) == list(range(groups))
+    assert all(task["dur_ms"] >= 0.0 for task in tasks)
+    # The worker-side solve is visible inside each graft.
+    for task in tasks:
+        assert "solver.greedy" in span_names([task])
 
 
 def _walk(spans):

@@ -1,14 +1,18 @@
-"""Property tests: partitioned execution == serial columnar, byte for byte.
+"""Property tests: a ``solve_many`` worker evaluates byte for byte like its parent.
 
-The merge contract is stronger than witness-*set* equality: the recombined
-:class:`QueryResult` must match the serial engine's output row order,
-witness order, packed ``tid`` columns and interning tables exactly, so that
-every provenance consumer (greedy tie-breaking included) is oblivious to
-how many shards produced the result.  These tests pin that down across
-K ∈ {1, 2, 4, 7} shards on the zipf and TPC-H workloads and on seeded
-random query/instance pairs, running the real executor with the pool
-disabled (the inline path executes the identical shard/merge code the
-workers run).
+A worker receives the bound database as rows in the parent's interned order
+(``Session._database_spec``) and rebuilds it through the recovery path
+(``repro.parallel.pool._worker_session``: ``RelationIndex.from_rows`` +
+``EngineContext.seed_index``).  Its evaluations must match the parent's
+output row order, witness order, packed ``tid`` columns and interning
+tables exactly -- that is what makes pooled solutions, greedy tie-breaking
+included, identical to the serial path.  The rebuild runs in-process here;
+``tests/parallel/test_pool.py`` and the mutation fuzzer drive real workers.
+
+Every case first mutates the parent session: after ``apply_insertions``
+the interned order (old rows, then the new ones appended) no longer matches
+the iteration order of a freshly built relation, so a rebuild that skipped
+the seeding would fail these comparisons.
 """
 
 import random
@@ -16,9 +20,9 @@ import random
 import pytest
 
 from repro.data.relation import TupleRef
-from repro.engine.evaluate import EngineContext, evaluate_columnar
-from repro.query.parser import parse_query
-from repro.workloads.queries import Q1, Q5, Q6, QPATH_EXP
+from repro.parallel.pool import _worker_session
+from repro.session import Session
+from repro.workloads.queries import Q1, Q6, QPATH_EXP
 from repro.workloads.tpch import generate_tpch
 from repro.workloads.zipf import generate_zipf_path
 
@@ -29,28 +33,8 @@ from tests.conftest import (
     random_query,
 )
 
-SHARD_COUNTS = (1, 2, 4, 7)
 
-
-def parallel_context(shards: int) -> EngineContext:
-    """A parallel context forced onto the inline (pool-less) shard path.
-
-    The context and executor both coerce ``workers`` up to at least 2 (a
-    parallel engine with one worker is pointless in production), so the
-    exact shard count under test is pinned *after* construction -- this
-    keeps the K parametrization machine-independent, and makes K=1
-    exercise the documented degenerate case: the cost model declines a
-    single shard and the evaluation falls back to the serial join.
-    """
-    context = EngineContext(mode="parallel", workers=shards, parallel_threshold=0)
-    executor = context.executor()
-    executor._pool_failed = True
-    executor.workers = shards
-    context.workers = shards
-    return context
-
-
-def assert_byte_identical(serial, parallel):
+def assert_byte_identical(parent, worker):
     """Every observable component of the two results matches exactly.
 
     Packed columns are normalized to plain lists first: the NumPy backend
@@ -58,66 +42,60 @@ def assert_byte_identical(serial, parallel):
     about the *values* (witness order, tid columns, output factorization),
     not the container type.
     """
-    assert parallel.output_rows == serial.output_rows
-    assert list(parallel.witness_outputs) == list(serial.witness_outputs)
-    assert parallel.output_index == serial.output_index
-    sp, pp = serial.provenance, parallel.provenance
-    assert pp.atom_names == sp.atom_names
-    assert packed_columns(pp) == packed_columns(sp)
-    assert pp.output_rows == sp.output_rows
-    assert packed_outputs(pp) == packed_outputs(sp)
-    assert [index.rows for index in pp.indexes] == [index.rows for index in sp.indexes]
-    assert [w.refs for w in parallel.witnesses] == [w.refs for w in serial.witnesses]
+    assert worker.output_rows == parent.output_rows
+    assert list(worker.witness_outputs) == list(parent.witness_outputs)
+    assert worker.output_index == parent.output_index
+    pp, wp = parent.provenance, worker.provenance
+    assert wp.atom_names == pp.atom_names
+    assert packed_columns(wp) == packed_columns(pp)
+    assert wp.output_rows == pp.output_rows
+    assert packed_outputs(wp) == packed_outputs(pp)
+    assert [index.rows for index in wp.indexes] == [index.rows for index in pp.indexes]
+    assert [w.refs for w in worker.witnesses] == [w.refs for w in parent.witnesses]
 
 
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def mutate(session, rng, fresh_value):
+    """Delete a few stored rows, then insert a few new ones per relation."""
+    database = session.database
+    victims = []
+    for relation in database:
+        rows = sorted(relation, key=repr)
+        victims.extend(
+            TupleRef(relation.name, row) for row in rng.sample(rows, len(rows) // 4)
+        )
+    session.apply_deletions(victims)
+    inserted = []
+    for relation in database:
+        for _ in range(3):
+            row = tuple(fresh_value(rng) for _ in relation.attributes)
+            inserted.append(TupleRef(relation.name, row))
+    session.apply_insertions(inserted)
+
+
+def assert_worker_matches_parent(session, queries):
+    """The rebuilt worker session re-joins each query like the parent would."""
+    _database, worker = _worker_session(session._database_spec(), session.backend)
+    with worker:
+        for query in queries:
+            parent = session.evaluate(query, use_cache=False)
+            assert_byte_identical(parent, worker.evaluate(query))
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
-def test_zipf_parity(shards, alpha):
+def test_zipf_worker_rebuild_parity(alpha):
     database = generate_zipf_path(r2_tuples=150, alpha=alpha, seed=13)
-    for query in (QPATH_EXP, Q6):
-        serial = evaluate_columnar(query, database)
-        context = parallel_context(shards)
-        result = context.evaluate(query, database)
-        assert result.provenance is not None
-        assert_byte_identical(serial, result)
+    with Session(database) as session:
+        session.evaluate(QPATH_EXP)
+        mutate(session, random.Random(13), lambda rng: f"n{rng.randrange(40)}")
+        assert_worker_matches_parent(session, (QPATH_EXP, Q6))
 
 
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_tpch_parity(shards):
+def test_tpch_worker_rebuild_parity():
     database = generate_tpch(total_tuples=150, seed=7)
-    sub = parse_query("QA(NK, SK, PK) :- Supplier(NK, SK), PartSupp(SK, PK)")
-    for query in (Q1, sub):
-        serial = evaluate_columnar(query, database)
-        context = parallel_context(shards)
-        assert_byte_identical(serial, context.evaluate(query, database))
-
-
-@pytest.mark.parametrize("shards", (2, 4))
-def test_star_and_boolean_and_empty_parity(shards):
-    database = generate_zipf_path(r2_tuples=120, alpha=0.5, seed=5)
-    boolean = parse_query("Qb() :- R1(A), R2(A, B)")
-    serial = evaluate_columnar(boolean, database)
-    assert_byte_identical(serial, parallel_context(shards).evaluate(boolean, database))
-
-    # An empty join (no R2 edge matches a fresh A value) merges to the
-    # serial empty-result shape.
-    empty_db = generate_zipf_path(r2_tuples=60, alpha=0.0, seed=3)
-    empty_db.relation("R2").clear()
-    serial_empty = evaluate_columnar(QPATH_EXP, empty_db)
-    parallel_empty = parallel_context(shards).evaluate(QPATH_EXP, empty_db)
-    assert parallel_empty.output_rows == serial_empty.output_rows == []
-    assert parallel_empty.witness_count() == 0
-    assert packed_columns(parallel_empty.provenance) == packed_columns(
-        serial_empty.provenance
-    )
-
-    # Q5: universal non-output attribute, all three relations partitioned.
-    star_db = random_instance(Q5, random.Random(11), max_tuples_per_relation=30,
-                              domain_size=6)
-    serial_star = evaluate_columnar(Q5, star_db)
-    assert_byte_identical(
-        serial_star, parallel_context(shards).evaluate(Q5, star_db)
-    )
+    with Session(database) as session:
+        session.evaluate(Q1)
+        mutate(session, random.Random(7), lambda rng: rng.randrange(10_000, 10_040))
+        assert_worker_matches_parent(session, (Q1,))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -125,87 +103,7 @@ def test_random_query_parity(seed):
     rng = random.Random(seed)
     query = random_query(rng, max_relations=3, max_attributes=3)
     database = random_instance(query, rng, max_tuples_per_relation=6, domain_size=3)
-    serial = evaluate_columnar(query, database)
-    for shards in (2, 7):
-        context = parallel_context(shards)
-        result = context.evaluate(query, database)
-        if result.provenance is None or serial.provenance is None:
-            continue
-        assert_byte_identical(serial, result)
-
-
-def test_parallel_result_supports_delta_semijoin():
-    """Downstream consumers (what-if deltas) see no difference."""
-    from repro.engine.delta import delta_counts
-
-    database = generate_zipf_path(r2_tuples=150, alpha=0.5, seed=13)
-    serial = evaluate_columnar(QPATH_EXP, database)
-    result = parallel_context(4).evaluate(QPATH_EXP, database)
-    refs = sorted(result.participating_refs(), key=repr)[:8]
-    assert delta_counts(result, refs) == delta_counts(serial, refs)
-    assert result.outputs_removed_by(refs) == serial.outputs_removed_by(refs)
-    assert result.outputs_removed_by([TupleRef("R2", ("nope", "nope"))]) == 0
-
-
-def test_use_cache_false_bypasses_shard_memoization():
-    """``use_cache=False`` must not read or write shard-layout entries."""
-    database = generate_zipf_path(r2_tuples=150, alpha=0.0, seed=13)
-    context = parallel_context(4)
-    first = context.evaluate(QPATH_EXP, database, use_cache=False)
-    second = context.evaluate(QPATH_EXP, database, use_cache=False)
-    assert second is not first  # genuinely re-evaluated
-    assert second.witness_outputs == first.witness_outputs
-    assert context.cache.stats() == (0, 0)  # nothing read or written
-    assert database not in context.cache._per_database
-
-
-def test_inline_shard_results_cached_under_layout_keys():
-    """The inline fallback memoizes shards under the shard-layout component."""
-    database = generate_zipf_path(r2_tuples=150, alpha=0.0, seed=13)
-    context = parallel_context(4)
-    first = context.evaluate(QPATH_EXP, database)
-    hits_before = context.cache.hits
-    again = context.evaluate(QPATH_EXP, database)
-    assert again is first  # canonical full result served from the cache
-    assert context.cache.hits == hits_before + 1
-    # Bypass the full-result cache: the per-shard layout entries serve the
-    # re-merge without re-joining any shard.
-    fresh = context.executor().evaluate(context, QPATH_EXP, database)
-    assert fresh is not first
-    assert list(fresh.witness_outputs) == list(first.witness_outputs)
-    assert packed_columns(fresh.provenance) == packed_columns(first.provenance)
-    from repro.engine.evaluate import join_order_plan
-
-    order = join_order_plan(QPATH_EXP)
-    names = tuple(QPATH_EXP.atoms[i].name for i in order)
-    layouts = {
-        key[2]
-        for key in context.cache._per_database[database]
-        if key[2] is not None
-    }
-    assert layouts == {("shard", "A", 4, names, s) for s in range(4)}
-
-
-def test_canonically_equal_queries_do_not_cross_serve_shards():
-    """Same canonical key, different atom order: distinct shard payloads.
-
-    The canonical cache key treats the body as a set, so ``R1(A), R2(A,B)``
-    and ``R2(A,B), R1(A)`` share it -- but their shard payloads carry
-    columns in *their own* join order.  The layout keys on the ordered
-    relation names (an order-index tuple would be ambiguous: both queries
-    plan as ``(0, 1)`` over their own atom lists), so neither the inline
-    cache nor the worker-side cache may serve one query's payload to the
-    other.
-    """
-    database = generate_zipf_path(r2_tuples=150, alpha=0.0, seed=13)
-    q_ab = parse_query("Q(A, B) :- R1(A), R2(A, B)")
-    q_ba = parse_query("Q(A, B) :- R2(A, B), R1(A)")
-    from repro.engine.cache import canonical_query_key
-
-    assert canonical_query_key(q_ab) == canonical_query_key(q_ba)
-    context = parallel_context(4)
-    executor = context.executor()
-    first = executor.evaluate(context, q_ab, database)
-    second = executor.evaluate(context, q_ba, database)
-    assert_byte_identical(evaluate_columnar(q_ab, database), first)
-    assert_byte_identical(evaluate_columnar(q_ba, database), second)
+    with Session(database) as session:
+        session.evaluate(query)
+        mutate(session, rng, lambda r: r.randrange(5))
+        assert_worker_matches_parent(session, (query,))

@@ -5,8 +5,11 @@ Replays seeded random interleavings of ``apply_insertions`` /
 *every* step, that the incrementally maintained state is indistinguishable
 from a from-scratch rebuild on an identically mutated database: output
 sets, witness ref-sets, witness/output counts, ``participating_refs`` and
-the greedy/drastic solver objectives all match, on both array backends and
-with inline shards K in {1, 2}.  A second family runs the identical trace
+the greedy/drastic solver objectives all match, on both array backends.
+The ``workers=2`` leg additionally runs a ``solve_many`` batch of two
+hard-leaf queries through the session's worker pool after every mutation
+(each mutation ships a new database version to the workers) and compares
+it with the same batch on the rebuilt serial oracle.  A second family runs the identical trace
 on the python and numpy backends side by side and asserts the packed
 provenance is **byte-identical** between them after every mutation.
 
@@ -22,13 +25,16 @@ so a failing CI leg is reproducible locally by exporting the seed it
 prints.
 """
 
+import multiprocessing
 import random
 
 import pytest
 
 from repro.data.relation import TupleRef
 from repro.engine.backend import numpy_available
-from repro.session import Session
+from repro.obs.trace import Tracer, use_tracer
+from repro.query.cq import ConjunctiveQuery
+from repro.session import PreparedQuery, Session, _is_leaf_group
 from repro.storage import DatabaseStore, OP_DELETE, OP_INSERT
 from repro.workloads.queries import Q1, QPATH_EXP
 from repro.workloads.tpch import generate_tpch
@@ -145,25 +151,71 @@ def _solver_objectives(session, query, total, seed):
     return out
 
 
-def _make_session(database, backend, workers):
-    if workers == 1:
-        return Session(database, backend=backend)
-    session = Session(
-        database, backend=backend, workers=workers, parallel_threshold=0
-    )
-    # Inline shards: the pool-less path runs the identical shard/merge
-    # kernels without per-test process startup.
-    session._context.executor()._pool_failed = True
-    return session
+def _fanout_queries(query):
+    """The query plus a projection of it -- two distinct hard-leaf groups,
+    the batch shape ``solve_many`` fans out -- or ``None`` when either one
+    is not a hard leaf (its group would stay parent-side)."""
+    if len(query.head) < 2:
+        return None
+    projection = ConjunctiveQuery(query.head[:1], query.atoms, name=f"{query.name}p")
+    if not all(_is_leaf_group(PreparedQuery(q)) for q in (query, projection)):
+        return None
+    return (query, projection)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name,query,database", WORKLOADS, ids=IDS)
+def _canonical(solutions):
+    """Solutions in wire form (removed refs sorted, as the service sends
+    them); a worker's unpickled frozenset may iterate in another order."""
+    return [
+        (s.k, s.size, s.removed_outputs, s.optimal, s.method,
+         sorted(str(ref) for ref in s.removed))
+        for s in solutions
+    ]
+
+
+def _fanout_batch(oracle, queries):
+    """``(query, k)`` requests for every query with a non-empty answer."""
+    requests = []
+    for query in queries:
+        total = oracle.output_size(query)
+        if total:
+            requests.extend([(query, max(1, total // 3)), (query, 1)])
+    return requests
+
+
+def _pooled_dispatches(spans):
+    """``parallel.solve_groups`` spans whose every group came back from a
+    worker (a silent serial fallback grafts no ``worker.task`` spans)."""
+    count = 0
+    stack = list(spans)
+    while stack:
+        node = stack.pop()
+        children = node.get("children", ())
+        if node["name"] == "parallel.solve_groups":
+            tasks = [c for c in children if c["name"] == "worker.task"]
+            count += len(tasks) == node["attrs"]["groups"]
+        stack.extend(children)
+    return count
+
+
+#: workers=2 runs only where the query and its projection are hard leaves.
+INTERLEAVED_CASES = [
+    pytest.param(name, query, database, backend, workers,
+                 id=f"{name}-seed{SEED}-{backend}-{workers}")
+    for workers in (1, 2)
+    for backend in BACKENDS
+    for name, query, database in WORKLOADS
+    if workers == 1 or _fanout_queries(query)
+]
+
+
+@pytest.mark.parametrize("name,query,database,backend,workers", INTERLEAVED_CASES)
 def test_interleaved_mutations_match_rebuild(name, query, database, backend, workers):
     trace = _mutation_trace(query, database, seed=SEED)
-    session = _make_session(database.copy(), backend=backend, workers=workers)
+    session = Session(database.copy(), backend=backend, workers=workers)
     mirror = database.copy()
+    fanout = _fanout_queries(query) if workers > 1 else None
+    tracer = Tracer()
     with session:
         session.evaluate(query)  # a resident cache entry to migrate each step
         for step, (op, refs) in enumerate(trace):
@@ -186,8 +238,19 @@ def test_interleaved_mutations_match_rebuild(name, query, database, backend, wor
                 assert _solver_objectives(session, query, total, SEED) == (
                     _solver_objectives(oracle, query, total, SEED)
                 ), context
+                if fanout:
+                    batch = _fanout_batch(oracle, fanout)
+                    expected = oracle.solve_many(batch, heuristic="greedy")
+                    with use_tracer(tracer):
+                        pooled = session.solve_many(batch, heuristic="greedy")
+                    assert _canonical(pooled) == _canonical(expected), context
         # The incremental path genuinely rode the cache, not re-evaluation.
         assert session.stats.cache_hits >= len(trace)
+        if fanout and "fork" in multiprocessing.get_all_start_methods():
+            # solve_group dispatch needs fork (WorkerPool.supports_solve_groups).
+            assert _pooled_dispatches(tracer.export()) >= 1, (
+                f"seed={SEED} [{name}]: solve_many never ran on the pool"
+            )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

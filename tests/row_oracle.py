@@ -203,7 +203,6 @@ class RowEngineContext(EngineContext):
         use_cache: bool = True,
         order: Optional[Sequence[int]] = None,
         query_key: Optional[Hashable] = None,
-        partition_key: Optional[str] = None,
     ) -> QueryResult:
         self.evaluations += 1
         return pack_rows(evaluate_rows(query, database, max_witnesses), database)

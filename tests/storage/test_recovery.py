@@ -71,6 +71,35 @@ def test_recovered_cache_is_warm(tmp_path, backend):
     store.close()
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_uncached_query_after_recovery_skips_deleted_rows(tmp_path, backend):
+    """A fresh join after recovery sees only live rows.
+
+    The snapshot's interning tables keep deleted rows (the cached packed
+    provenance refers to their tids); a query that was never cached must
+    not join over them.
+    """
+    store = DatabaseStore(tmp_path)
+    session = Session(make_db(), backend=backend)
+    session.evaluate(QUERY)
+    store.initialize("db", session, 1)
+    victims = [TupleRef("R2", row) for row in sorted(session.database.relation("R2"))[:5]]
+    assert session.apply_deletions(victims) == 5
+    store.record_mutation("db", session, OP_DELETE, victims, 2)
+    store.flush("db", session, 2)  # the snapshot now carries dead tids
+    session.close()
+    store.close()
+    recovered = DatabaseStore(tmp_path).load("db", backend=backend)
+    uncached = "Qb(b) :- R1(a, b), R2(b, c)"
+    with Session(recovered.database.copy(), backend=backend) as fresh:
+        expected = fresh.evaluate(uncached)
+        got = recovered.session.evaluate(uncached)
+        assert got.witness_count() == expected.witness_count()
+        assert set(got.output_rows) == set(expected.output_rows)
+        assert {w.refs for w in got.witnesses} == {w.refs for w in expected.witnesses}
+    recovered.session.close()
+
+
 def test_durability_continues_after_recovery(tmp_path):
     version = _run_workload(tmp_path, "python", compact_after=3)
     store = DatabaseStore(tmp_path, compact_after=3)

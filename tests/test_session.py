@@ -2,8 +2,9 @@
 
 Covers the redesign's contract:
 
-* session-owned caches invalidate on database mutation (both engines);
-* an unknown engine (including the removed ``"row"`` mode) is rejected;
+* session-owned caches invalidate on database mutation (with and without
+  a worker pool);
+* a worker count below 1 is rejected by every entry point that takes one;
 * a ``PreparedQuery`` is reusable across databases and targets, matching
   fresh solves exactly;
 * ``what_if`` (delta semijoin) returns results identical, as sets, to a
@@ -45,12 +46,12 @@ def _witness_set(result):
 
 
 # --------------------------------------------------------------------------- #
-# Cache invalidation on mutation (satellite: both engines)
+# Cache invalidation on mutation (with and without a worker pool)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("engine", ["columnar", "parallel"])
-def test_session_cache_invalidates_on_mutation(engine):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_session_cache_invalidates_on_mutation(workers):
     database = _small_db()
-    session = Session(database, engine=engine)
+    session = Session(database, workers=workers)
     prepared = session.prepare(QUERY_TEXT)
 
     before = session.evaluate(prepared)
@@ -66,9 +67,39 @@ def test_session_cache_invalidates_on_mutation(engine):
     assert again.output_count() == 3
 
 
-def test_unknown_engine_is_rejected_naming_the_valid_ones():
-    with pytest.raises(ValueError, match="columnar, parallel"):
-        Session(_small_db(), engine="row")
+def _construct_session(workers):
+    Session(_small_db(), workers=workers)
+
+
+def _construct_registry(workers):
+    from repro.service.registry import SessionRegistry
+
+    SessionRegistry(capacity=2, workers=workers)
+
+
+def _start_serve(workers):
+    from repro.cli import main
+
+    main(["serve", "--port", "0", "--workers", str(workers)])
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize(
+    "entry, error",
+    [
+        (_construct_session, ValueError),
+        (_construct_registry, ValueError),
+        (_start_serve, SystemExit),  # argparse: exit 2 before any socket
+    ],
+    ids=["session", "registry", "serve"],
+)
+def test_workers_below_one_is_rejected(entry, error, workers):
+    with pytest.raises(error) as raised:
+        entry(workers)
+    if error is SystemExit:
+        assert raised.value.code == 2
+    else:
+        assert "workers must be >= 1" in str(raised.value)
 
 
 def test_session_cache_hits_while_unchanged():
@@ -315,9 +346,8 @@ def test_close_is_idempotent_and_exposes_closed():
 
 
 def test_close_shuts_down_worker_processes_deterministically():
-    session = Session(_small_db(), workers=2, parallel_threshold=0)
-    executor = session._context.executor()
-    pool = executor.pool()
+    session = Session(_small_db(), workers=2)
+    pool = session._worker_pool()
     if pool is None:
         pytest.skip("worker pool unavailable in this environment")
     procs = list(pool._procs)
@@ -331,14 +361,13 @@ def test_dropped_session_finalizer_closes_worker_processes():
     its worker pool until interpreter exit (the GC finalizer net)."""
     import gc
 
-    session = Session(_small_db(), workers=2, parallel_threshold=0)
-    executor = session._context.executor()
-    pool = executor.pool()
+    session = Session(_small_db(), workers=2)
+    pool = session._worker_pool()
     if pool is None:
         pytest.skip("worker pool unavailable in this environment")
     procs = list(pool._procs)
     assert all(proc.is_alive() for proc in procs)
-    del session, executor, pool
+    del session, pool
     gc.collect()
     deadline = time.time() + 5.0
     while time.time() < deadline and any(proc.is_alive() for proc in procs):
