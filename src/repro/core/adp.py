@@ -140,24 +140,26 @@ class ADPSolver:
         *,
         result: Optional[QueryResult] = None,
         curve: Optional[CostCurve] = None,
+        fallbacks: Optional[int] = None,
     ) -> ADPSolution:
         """Solve within the ambient engine context (the session entry point).
 
         ``result`` threads one evaluation through sizing, feasibility and
         verification (instead of three ``evaluate`` calls leaning on the
-        cache); ``curve`` lets batched callers reuse a cost curve computed
-        once at the batch's largest target.
+        cache); ``curve`` lets callers reuse a cost curve computed at any
+        target ``>= k`` (a batch's largest, or a cached one), and
+        ``fallbacks`` is the :attr:`heuristic_fallbacks` count that curve
+        was computed with (default: this solver's last computation).
         """
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
         if result is None:
             result = evaluate(query, database)
         total = result.output_count()
-        if k > total:
-            raise ValueError(f"k={k} exceeds the number of output tuples |Q(D)|={total}")
+        self.check_target(k, total)
         if curve is None:
             self._fallbacks = 0
             curve = self._curve(query, database, k)
+        if fallbacks is None:
+            fallbacks = self._fallbacks
         cost = curve.cost(k)
         if cost == INFEASIBLE:
             # Heuristic curves can, in pathological cases, fall short of k
@@ -180,7 +182,7 @@ class ADPSolver:
             stats={
                 "output_size": total,
                 "counting_only": self.config.counting_only,
-                "heuristic_fallbacks": self._fallbacks,
+                "heuristic_fallbacks": fallbacks,
             },
             objective=int(cost),
         )
@@ -199,6 +201,23 @@ class ADPSolver:
             raise ValueError(f"kmax must be non-negative, got {kmax}")
         self._fallbacks = 0
         return self._curve(query, database, kmax)
+
+    @property
+    def heuristic_fallbacks(self) -> int:
+        """How often the last curve computation fell back to greedy.
+
+        Drastic on a non-full leaf, or a triad-free boolean query that is
+        not directly linearizable; reported in each solution's ``stats``.
+        """
+        return self._fallbacks
+
+    @staticmethod
+    def check_target(k: int, total: int) -> None:
+        """Raise ``ValueError`` unless ``1 <= k <= total`` (``total = |Q(D)|``)."""
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        if k > total:
+            raise ValueError(f"k={k} exceeds the number of output tuples |Q(D)|={total}")
 
     def is_exact_for(self, query: ConjunctiveQuery) -> bool:
         """Whether this solver returns optimal solutions for ``query``.

@@ -110,8 +110,15 @@ class WorkerPool:
         self._known: Dict[Tuple[int, str], "OrderedDict[object, None]"] = {}
         for _ in range(workers):
             parent_conn, child_conn = self._mp.Pipe()
+            # A forked worker inherits this pool's parent-side ends (its own
+            # included) and must close them, or its pipe keeps a writer
+            # after the parent dies and ``recv`` never sees EOF.  Spawned
+            # workers inherit nothing.
+            inherited = (
+                [*self._conns, parent_conn] if start_method == "fork" else []
+            )
             proc = self._mp.Process(
-                target=_worker_main, args=(child_conn,), daemon=True
+                target=_worker_main, args=(child_conn, inherited), daemon=True
             )
             proc.start()
             child_conn.close()
@@ -338,7 +345,12 @@ def _worker_session(spec: dict, backend: str) -> tuple:
 
 
 def _handle_solve_group(msg: dict, db_store: "OrderedDict") -> dict:
-    """Solve one query group (shared evaluation + one curve, many targets)."""
+    """Solve one query group on the worker-resident session.
+
+    The same body as the parent's serial path
+    (:meth:`repro.session.Session._solve_group`), so the worker session's
+    curve cache serves repeat batches on an unchanged version.
+    """
     dbkey = msg["dbkey"]
     entry = db_store.get(dbkey)
     if entry is None:
@@ -347,39 +359,38 @@ def _handle_solve_group(msg: dict, db_store: "OrderedDict") -> dict:
             raise _StoreMiss([("db", dbkey)])
         entry = _worker_session(spec, msg["backend"])
         _bounded_insert(db_store, dbkey, entry, MAX_DB_ENTRIES)
-    database, session = entry
-
-    query = msg["query"]
-    targets = msg["targets"]
-    solver = msg["solver"]
-    prepared = session.prepare(query)
-    context = session._context
-    joins_before = context.evaluations
+    _database, session = entry
+    joins_before = session._context.evaluations
     with session.activate():
-        result = context.evaluate(
-            prepared.query,
-            database,
-            order=prepared.join_order,
-            query_key=prepared.canonical_key,
+        solutions, hit = session._solve_group(
+            session.prepare(msg["query"]), msg["targets"], msg["solver"]
         )
-        curve = solver.curve(prepared.query, database, max(targets))
-        solutions = [
-            solver.solve_in_context(
-                prepared.query, database, k, result=result, curve=curve
-            )
-            for k in targets
-        ]
-    return {"solutions": solutions, "joins": context.evaluations - joins_before}
+    return {
+        "solutions": solutions,
+        "joins": session._context.evaluations - joins_before,
+        "curve_cache_hit": hit,
+    }
 
 
-def _worker_main(conn: "multiprocessing.connection.Connection") -> None:  # pragma: no cover - runs in a subprocess
+def _worker_main(  # pragma: no cover - runs in a subprocess
+    conn: "multiprocessing.connection.Connection",
+    inherited: "List[multiprocessing.connection.Connection]",
+) -> None:
     """The worker loop: one task in, one ``("ok"| "error", value)`` out.
+
+    First closes ``inherited``, this pool's parent-side pipe ends copied
+    in by fork, so the worker sees EOF and exits when the parent dies,
+    even by SIGKILL.  Ends of older pools copied in stay open; their
+    workers exit once this one has, and the newest pool's workers hold no
+    foreign end, so every pool drains.
 
     A payload carrying a ``"trace"`` dict runs under a fresh worker-side
     tracer (root span ``worker.task`` stamped with the shipped attributes)
     and is answered with ``("ok+trace", (serialized spans, value))`` so the
     parent can graft the subtree under its ``parallel.solve_groups`` span.
     """
+    for end in inherited:
+        end.close()
     from repro.obs.trace import Tracer, use_tracer
 
     db_store: "OrderedDict" = OrderedDict()

@@ -8,14 +8,15 @@ connection object:
 * :class:`PreparedQuery` -- parse + dichotomy classification + join-order
   plan, computed **once** and reusable across databases and targets ``k``;
 * :class:`Session` -- binds one :class:`~repro.data.database.Database` and
-  owns all evaluation state: the evaluation cache, the array backend, the
-  relation interning tables, the ``solve_many`` worker pool and the usage
-  statistics.  On top it exposes the batched and incremental
-  capabilities that were previously internal-only:
+  owns all evaluation state: the evaluation cache, the cost-curve cache,
+  the array backend, the relation interning tables, the ``solve_many``
+  worker pool and the usage statistics.  On top it exposes the batched and
+  incremental capabilities that were previously internal-only:
 
   - :meth:`Session.solve` / :meth:`Session.solve_many` -- one or many ADP
     solves over the bound database, sharing one evaluation and one cost
-    curve per distinct query;
+    curve per distinct query, and reusing that curve across calls while
+    the database is unchanged (:mod:`repro.core.curve_cache`);
   - :meth:`Session.curve` -- the full :class:`~repro.core.curves.CostCurve`
     (solutions for every target up to ``kmax``) that ``ComputeADP`` builds
     internally;
@@ -40,6 +41,7 @@ Thread- and process-safety contract
 * **Read paths are thread-safe.**  ``prepare`` / ``evaluate`` / ``solve`` /
   ``solve_many`` / ``curve`` / ``what_if`` may be called from multiple
   threads on one session: the evaluation cache takes an internal lock, the
+  curve cache computes concurrent misses on one key once, the
   context's lazy interning builds and the provenance's lazy postings-index
   builds are lock-guarded, and cached ``QueryResult`` objects are immutable
   by contract.  (Remaining lazy views such as ``QueryResult.witnesses``
@@ -91,6 +93,7 @@ from typing import (
 )
 
 from repro.core.adp import ADPSolver, SolverConfig, ratio_target
+from repro.core.curve_cache import CurveCache
 from repro.core.curves import CostCurve
 from repro.core.decidability import is_poly_time
 from repro.core.singleton import is_singleton
@@ -220,8 +223,10 @@ class SessionStats:
     """A snapshot of one session's usage counters.
 
     ``cache_hits`` / ``cache_misses`` / ``joins`` come from the session's
-    engine context at snapshot time; the remaining counters are incremented
-    by the session methods themselves.
+    engine context and ``curve_cache_hits`` / ``curve_cache_misses`` from its
+    cost-curve cache at snapshot time (both include the work of the
+    ``solve_many`` worker processes); the remaining counters are
+    incremented by the session methods themselves.
     """
 
     prepares: int = 0
@@ -235,6 +240,8 @@ class SessionStats:
     cache_hits: int = 0
     cache_misses: int = 0
     joins: int = 0
+    curve_cache_hits: int = 0
+    curve_cache_misses: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """The snapshot as a plain dict (stable keys, for reports/JSON)."""
@@ -359,9 +366,13 @@ def validate_workers(workers: int) -> int:
     return count
 
 
-def _release(context: EngineContext, pools: List[WorkerPool]) -> None:
-    """Session teardown: drop the context's state and close the worker pool."""
+def _release(
+    context: EngineContext, curves: CurveCache, pools: List[WorkerPool]
+) -> None:
+    """Session teardown: drop the context's state and cached curves, and
+    close the worker pool."""
     context.release()
+    curves.clear()
     while pools:
         pools.pop().close()
 
@@ -420,6 +431,8 @@ class Session:
         self._workers = validate_workers(workers)
         self.database = database
         self._context = EngineContext(backend=backend)
+        #: Cost curves by (query, solver); see :meth:`_solve_group`.
+        self._curves = CurveCache()
         #: The ``solve_many`` worker pool once started (a list, so the GC
         #: finalizer below sees a pool started after construction).
         self._pools: List[WorkerPool] = []
@@ -444,7 +457,7 @@ class Session:
         # dropped session leaks its worker processes until interpreter exit.
         # close() runs the same finalizer explicitly.
         self._finalizer = weakref.finalize(
-            self, _release, self._context, self._pools
+            self, _release, self._context, self._curves, self._pools
         )
 
     # ------------------------------------------------------------------ #
@@ -640,7 +653,10 @@ class Session:
 
         ``solver`` / ``config`` / keyword overrides (e.g.
         ``heuristic="drastic"``) select the algorithm configuration; the
-        session default config applies otherwise.
+        session default config applies otherwise.  A repeat solve of the
+        same query and configuration on an unchanged database, at a ``k``
+        no larger than an earlier one, reads the session's cached cost curve
+        instead of re-running the solver (see :meth:`_solve_group`).
         """
         self._check_open()
         prepared = self.prepare(query)
@@ -651,15 +667,59 @@ class Session:
                 ssp.set(
                     query=prepared.name, k=k, plan=prepared.plan_fingerprint
                 )
-            result = self._context.evaluate(
+            solutions, hit = self._solve_group(prepared, [k], chosen)
+            if ssp:
+                ssp.set(curve_cache="hit" if hit else "miss")
+            return solutions[0]
+
+    def _solve_group(
+        self, prepared: PreparedQuery, targets: List[int], solver: ADPSolver
+    ) -> Tuple[List[ADPSolution], bool]:
+        """Solve one query at several targets: ``(solutions, curve cache hit)``.
+
+        The one group-solve body, shared by :meth:`solve`, the serial
+        :meth:`solve_many` loop and the worker processes' ``solve_group``
+        task: evaluate once, take the query's cost curve from the session's
+        :class:`~repro.core.curve_cache.CurveCache` -- computed at the
+        largest target on a miss -- and answer every target off it.  The
+        cache key is (canonical query, solver type, solver config); an entry
+        is valid for the database version it was computed on and any target
+        up to the ``kmax`` it was computed at.  Runs inside :meth:`activate`.
+        """
+        token = self.database.version_token()
+        result = self._context.evaluate(
+            prepared.query,
+            self.database,
+            order=prepared.join_order,
+            query_key=prepared.canonical_key,
+        )
+        total = result.output_count()
+        for k in targets:
+            solver.check_target(k, total)
+        kmax = max(targets)
+
+        def compute() -> Tuple[CostCurve, int]:
+            curve = solver.curve(prepared.query, self.database, kmax)
+            return curve, solver.heuristic_fallbacks
+
+        key = (
+            prepared.canonical_key,
+            type(solver),
+            dataclasses.astuple(solver.config),
+        )
+        entry, hit = self._curves.get(key, token, kmax, compute)
+        solutions = [
+            solver.solve_in_context(
                 prepared.query,
                 self.database,
-                order=prepared.join_order,
-                query_key=prepared.canonical_key,
+                k,
+                result=result,
+                curve=entry.curve,
+                fallbacks=entry.fallbacks,
             )
-            return chosen.solve_in_context(
-                prepared.query, self.database, k, result=result
-            )
+            for k in targets
+        ]
+        return solutions, hit
 
     def solve_ratio(
         self,
@@ -693,9 +753,10 @@ class Session:
         """Solve a batch of ``(query, k)`` requests, amortizing shared work.
 
         Requests are grouped by canonical query: each distinct query is
-        evaluated once and its :class:`CostCurve` computed once at the
-        group's largest ``k``; every smaller target is then read off that
-        curve.  Results come back in request order.
+        evaluated once and its :class:`CostCurve` read from the session's
+        curve cache, or computed once at the group's largest ``k`` on a
+        miss; every target is then read off that curve.  Results come back
+        in request order.
 
         With ``workers > 1`` the distinct **hard-leaf**
         query groups -- those ``ComputeADP`` solves directly on the
@@ -725,6 +786,7 @@ class Session:
 
         solutions: List[Optional[ADPSolution]] = [None] * len(request_list)
         remaining = groups
+        hits: List[bool] = []
         with span("session.solve_many") as msp:
             if msp:
                 msp.set(requests=len(request_list), groups=len(groups))
@@ -734,9 +796,13 @@ class Session:
                     for key, positions in groups.items()
                     if _is_leaf_group(request_list[positions[0]][0])
                 }
-                if len(leaf_groups) > 1 and self._solve_groups_in_pool(
-                    request_list, leaf_groups, chosen, solutions
-                ):
+                pooled = None
+                if len(leaf_groups) > 1:
+                    pooled = self._solve_groups_in_pool(
+                        request_list, leaf_groups, chosen, solutions
+                    )
+                if pooled is not None:
+                    hits.extend(pooled)
                     remaining = {
                         key: positions
                         for key, positions in groups.items()
@@ -744,24 +810,16 @@ class Session:
                     }
             with self.activate():
                 for positions in remaining.values():
-                    prepared = request_list[positions[0]][0]
-                    targets = [request_list[p][1] for p in positions]
-                    kmax = max(targets)
-                    result = self._context.evaluate(
-                        prepared.query,
-                        self.database,
-                        order=prepared.join_order,
-                        query_key=prepared.canonical_key,
+                    group, hit = self._solve_group(
+                        request_list[positions[0]][0],
+                        [request_list[p][1] for p in positions],
+                        chosen,
                     )
-                    curve = chosen.curve(prepared.query, self.database, kmax)
-                    for position, k in zip(positions, targets):
-                        solutions[position] = chosen.solve_in_context(
-                            prepared.query,
-                            self.database,
-                            k,
-                            result=result,
-                            curve=curve,
-                        )
+                    hits.append(hit)
+                    for position, solution in zip(positions, group):
+                        solutions[position] = solution
+            if msp:
+                msp.set(curve_cache="hit" if all(hits) else "miss")
         return [solution for solution in solutions if solution is not None]
 
     def _solve_groups_in_pool(
@@ -770,12 +828,13 @@ class Session:
         groups: Dict[object, List[int]],
         chosen: ADPSolver,
         solutions: List[Optional[ADPSolution]],
-    ) -> bool:
+    ) -> Optional[List[bool]]:
         """Dispatch one ``solve_group`` task per distinct query to the pool.
 
-        Fills ``solutions`` in place and returns ``True`` on success;
-        ``False`` (pool unavailable, worker error, unpicklable payload)
-        means the caller must run the serial path instead.
+        Fills ``solutions`` in place and returns each group's curve-cache
+        hit flag on success; ``None`` (pool unavailable, worker error,
+        unpicklable payload) means the caller must run the serial path
+        instead.
 
         Deliberate trade-off: group results (evaluation + curve) are cached
         **worker-side** only -- shipping packed provenance back through the
@@ -786,7 +845,7 @@ class Session:
         """
         pool = self._worker_pool()
         if pool is None:
-            return False
+            return None
         # The pool serves this session's one database, so its version token
         # alone identifies the worker-resident copy.
         dbkey = self.database.version_token()
@@ -839,23 +898,25 @@ class Session:
                     results = pool.run(build_tasks(), spans_out)
             except PoolBrokenError:
                 self._mark_pool_failed()
-                return False
+                return None
             except (WorkerTaskError, WorkerStoreMiss):
                 # A task failed inside a healthy worker -- e.g. an infeasible
                 # target raised by the solver, or an unpicklable payload (the
                 # pipe pickles inside WorkerPool.run, surfacing those as
                 # WorkerTaskError too).  Re-run serially so the real exception
                 # surfaces to the caller -- and keep the pool.
-                return False
+                return None
             if gsp and spans_out is not None:
                 for forest in spans_out:
                     if forest:
                         gsp.graft(forest)
+        hits = [outcome["curve_cache_hit"] for outcome in results]
+        self._curves.tally(sum(hits), len(hits) - sum(hits))
         for (_gkey, positions), outcome in zip(group_items, results):
             self._context.evaluations += outcome["joins"]
             for position, solution in zip(positions, outcome["solutions"]):
                 solutions[position] = solution
-        return True
+        return hits
 
     def _database_spec(self) -> Dict[str, tuple]:
         """The bound database as shipped to workers: per relation
@@ -886,6 +947,8 @@ class Session:
         Publishes what ``ComputeADP`` computes internally anyway: the
         Universe/Decompose dynamic programs need sub-problem costs for many
         targets, and every base case produces its whole profile in one pass.
+        Always computed afresh at exactly ``kmax``: the curve cache behind
+        :meth:`solve` is neither read nor filled.
         """
         self._check_open()
         prepared = self.prepare(query)
@@ -1088,15 +1151,16 @@ class Session:
     # Introspection
     # ------------------------------------------------------------------ #
     def clear_cache(self) -> None:
-        """Drop this session's memoized evaluation results.
+        """Drop this session's memoized evaluation results and cost curves.
 
         With a running worker pool this also clears the caches held by the
         workers (their resident databases and interning tables survive), so
-        a cleared session genuinely re-evaluates everywhere.  Clearing never
-        *starts* a pool.
+        a cleared session genuinely re-evaluates and re-solves everywhere.
+        Clearing never *starts* a pool.
         """
         self._check_open()
         self._context.cache.clear()
+        self._curves.clear()
         with self._pool_lock:
             pool = self._pools[0] if self._pools else None
         if pool is None:
@@ -1112,10 +1176,13 @@ class Session:
     def stats(self) -> SessionStats:
         """A snapshot of the session's usage counters."""
         hits, misses = self._context.cache.stats()
+        curve_hits, curve_misses = self._curves.stats()
         return SessionStats(
             cache_hits=hits,
             cache_misses=misses,
             joins=self._context.evaluations,
+            curve_cache_hits=curve_hits,
+            curve_cache_misses=curve_misses,
             **self._counters,
         )
 

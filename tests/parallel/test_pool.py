@@ -4,7 +4,14 @@ Everything here exercises actual ``multiprocessing`` workers (fork/spawn
 subprocesses), so the workloads are kept deliberately small.
 """
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +165,20 @@ def test_clear_cache_reaches_worker_caches(tpch_db):
         assert [s.size for s in cleared] == [s.size for s in expected]
 
 
+def test_worker_curve_caches_serve_repeat_batches(tpch_db):
+    """A repeat batch on an unchanged version reads the worker sessions'
+    cached curves, and the parent's stats count the worker-side lookups."""
+    requests = [(Q1, 2), (QA, 3), (QA, 1)]
+    with Session(tpch_db, workers=2) as session:
+        first = session.solve_many(requests, heuristic="greedy")
+        again = session.solve_many(requests, heuristic="greedy")
+        pooled = bool(session._pools)
+        stats = session.stats
+    assert pooled == ("fork" in multiprocessing.get_all_start_methods())
+    assert again == first
+    assert (stats.curve_cache_hits, stats.curve_cache_misses) == (2, 2)
+
+
 def test_mixed_batches_gate_recursive_groups_to_the_parent(tpch_db):
     """Only hard-leaf groups dispatch; recursive ones stay parent-side.
 
@@ -282,3 +303,66 @@ def test_what_if_and_apply_deletions_on_parallel_results(tpch_db):
     finally:
         serial.close()
         parallel.close()
+
+
+def _running(pid):
+    """Whether ``pid`` is a live (not zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        if os.path.isdir("/proc"):
+            return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+_POOL_OWNER_SCRIPT = """
+import time
+from repro.parallel.pool import WorkerPool
+pool = WorkerPool(2, start_method="fork")
+print(" ".join(str(proc.pid) for proc in pool._procs), flush=True)
+time.sleep(120)
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="orphaned workers are a fork-inheritance problem",
+)
+def test_sigkilled_owner_leaves_no_orphan_workers():
+    """A pool owner killed by SIGKILL takes its workers down with it.
+
+    Each forked worker must drop the parent-side pipe ends it inherited;
+    otherwise its own pipe keeps a writer alive after the owner dies and
+    ``recv`` never sees EOF.
+    """
+    repo_root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo_root / "src"), env.get("PYTHONPATH", "")]
+    )
+    owner = subprocess.Popen(
+        [sys.executable, "-c", _POOL_OWNER_SCRIPT],
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        pids = [int(pid) for pid in owner.stdout.readline().split()]
+        assert len(pids) == 2
+        assert all(_running(pid) for pid in pids)
+    finally:
+        owner.send_signal(signal.SIGKILL)
+        owner.wait(timeout=10)
+        owner.stdout.close()
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline and any(_running(pid) for pid in pids):
+        time.sleep(0.05)
+    survivors = [pid for pid in pids if _running(pid)]
+    for pid in survivors:  # do not leak them into the rest of the run
+        os.kill(pid, signal.SIGKILL)
+    assert survivors == []

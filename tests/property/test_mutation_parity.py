@@ -20,6 +20,11 @@ and the recovered session must stay byte-identical (packed provenance,
 output rows, version token) to an uninterrupted session replaying the same
 trace, resurrection re-inserts across the restart boundary included.
 
+Before every mutation the session's cost-curve cache is warmed at
+``k = |Q(D)|`` for both heuristics, and after it the session's
+``solve_many`` answers must equal the rebuilt oracle's: a curve cached for
+the pre-mutation version must never be served.
+
 The seed comes from the ``REPRO_TEST_SEED`` env knob (see tests/conftest),
 so a failing CI leg is reproducible locally by exporting the seed it
 prints.
@@ -151,6 +156,25 @@ def _solver_objectives(session, query, total, seed):
     return out
 
 
+def _warm_curves(session, query):
+    """Cache the greedy and drastic curves at ``k = |Q(D)|``."""
+    total = session.output_size(query)
+    if total:
+        for heuristic in ("greedy", "drastic"):
+            session.solve_many([(query, total)], heuristic=heuristic)
+
+
+def _batch_answers(session, query, total):
+    """``solve_many`` at ``k`` in {1, |Q(D)|/3, |Q(D)|} for both heuristics."""
+    if total == 0:
+        return None
+    batch = [(query, k) for k in sorted({1, max(1, total // 3), total})]
+    return {
+        heuristic: _canonical(session.solve_many(batch, heuristic=heuristic))
+        for heuristic in ("greedy", "drastic")
+    }
+
+
 def _fanout_queries(query):
     """The query plus a projection of it -- two distinct hard-leaf groups,
     the batch shape ``solve_many`` fans out -- or ``None`` when either one
@@ -219,6 +243,7 @@ def test_interleaved_mutations_match_rebuild(name, query, database, backend, wor
     with session:
         session.evaluate(query)  # a resident cache entry to migrate each step
         for step, (op, refs) in enumerate(trace):
+            _warm_curves(session, query)
             changed = _apply(session, op, refs)
             assert changed == _apply(mirror, op, refs), (
                 f"seed={SEED} step={step}: {op} count diverged"
@@ -237,6 +262,9 @@ def test_interleaved_mutations_match_rebuild(name, query, database, backend, wor
                 total = incremental.output_count()
                 assert _solver_objectives(session, query, total, SEED) == (
                     _solver_objectives(oracle, query, total, SEED)
+                ), context
+                assert _batch_answers(session, query, total) == (
+                    _batch_answers(oracle, query, total)
                 ), context
                 if fanout:
                     batch = _fanout_batch(oracle, fanout)

@@ -24,6 +24,7 @@ from repro.core.adp import ADPSolver
 from repro.data.database import Database
 from repro.data.relation import TupleRef
 from repro.engine.evaluate import use_context
+from repro.obs.trace import Tracer, use_tracer
 from repro.query.parser import parse_query
 from repro.session import PreparedQuery, Session, prepare
 from repro.workloads.queries import Q1
@@ -302,6 +303,27 @@ def test_stats_counters():
     assert stats.what_if_calls == 1
     assert stats.joins >= 1
     assert stats.as_dict()["solves"] == 3
+    # solve(k=1) computed the curve; the batch (kmax=2) recomputed it.
+    assert (stats.curve_cache_hits, stats.curve_cache_misses) == (0, 2)
+    session.solve(prepared, 2)
+    assert session.stats.curve_cache_hits == 1
+
+
+def test_solve_spans_report_curve_cache():
+    session = Session(_small_db())
+    tracer = Tracer()
+    with use_tracer(tracer):
+        session.solve(QUERY_TEXT, 2)
+        session.solve(QUERY_TEXT, 1)
+        session.solve_many([(QUERY_TEXT, 1), (QUERY_TEXT, 2)])
+        session.solve_many([(QUERY_TEXT, 3)])
+    solves = [node for node in tracer.export() if node["name"] != "session.prepare"]
+    assert [(node["name"], node["attrs"]["curve_cache"]) for node in solves] == [
+        ("session.solve", "miss"),
+        ("session.solve", "hit"),
+        ("session.solve_many", "hit"),
+        ("session.solve_many", "miss"),
+    ]
 
 
 def test_row_engine_session_matches_columnar_objective():
