@@ -17,7 +17,8 @@ curve, and the solver's heuristic-fallback count (so a hit reports the same
 solution stats as the cold solve).  A lookup hits when the token matches and
 the requested ``kmax`` is at most the entry's; otherwise the curve is
 recomputed at the requested ``kmax`` and replaces the entry.  A mutation
-changes the token, so stale entries simply miss -- nothing is migrated.
+changes the token, so stale entries simply miss -- nothing is migrated --
+and the first insert at the new token drops every entry of an older one.
 
 The cache does not keep the greedy's working state (its
 ``ProvenanceIndex``) to resume a curve at a larger ``kmax``: that would pin
@@ -97,6 +98,13 @@ class CurveCache:
             entry = CachedCurve(token, kmax, curve, fallbacks)
             with self._lock:
                 self.misses += 1
+                # Version tokens only grow and a session serves one
+                # database, so an entry with another token can never hit
+                # again: drop it now rather than pin its curve until LRU
+                # eviction (as EvaluationCache.store does).
+                stale = [k for k, e in self._entries.items() if e.token != token]
+                for old in stale:
+                    del self._entries[old]
                 self._entries[key] = entry
                 self._entries.move_to_end(key)
                 while len(self._entries) > self._max_entries:

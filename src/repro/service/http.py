@@ -469,6 +469,7 @@ class AdpService:
             counters = {
                 "registry_evictions_total": self.registry.evictions_total,
                 "registry_rehydrations_total": self.registry.rehydrations_total,
+                **self._curve_cache_counts(),
             }
             if self.store is not None:
                 counters.update({
@@ -518,7 +519,7 @@ class AdpService:
             "uptime_s": round(time.time() - self.started_at, 3),
             "databases": len(self.registry),
             "pending_requests": self.admission.pending,
-            "metrics": self.metrics.snapshot(),
+            "metrics": {**self.metrics.snapshot(), **self._curve_cache_counts()},
         }
         if self.store is not None:
             # Recovery state: persisted names, replay counters, degradation.
@@ -783,6 +784,15 @@ class AdpService:
         }
         with self._db_gauges_lock:
             self._db_operator_gauges[database] = gauges
+
+    def _curve_cache_counts(self) -> Dict[str, int]:
+        """Cost-curve cache hits and misses, summed over resident sessions."""
+        hits = misses = 0
+        for entry in self.registry.entries():
+            stats = entry.session.stats
+            hits += stats.curve_cache_hits
+            misses += stats.curve_cache_misses
+        return {"curve_cache_hits_total": hits, "curve_cache_misses_total": misses}
 
     def _labeled_gauges(self) -> Dict[str, Dict[str, float]]:
         """Per-database gauges, pruned to resident names (bounded labels)."""

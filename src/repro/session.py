@@ -76,6 +76,7 @@ True
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import threading
@@ -699,8 +700,12 @@ class Session:
         kmax = max(targets)
 
         def compute() -> Tuple[CostCurve, int]:
-            curve = solver.curve(prepared.query, self.database, kmax)
-            return curve, solver.heuristic_fallbacks
+            # A private copy: a caller's solver may be shared across threads,
+            # and another thread's curve() would reset its fallback count
+            # mid-computation -- a miscount every later hit would repeat.
+            private = copy.copy(solver)
+            curve = private.curve(prepared.query, self.database, kmax)
+            return curve, private.heuristic_fallbacks
 
         key = (
             prepared.canonical_key,

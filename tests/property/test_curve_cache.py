@@ -174,6 +174,56 @@ def test_clear_cache_and_close_drop_entries():
     assert len(curves) == 0
 
 
+def test_a_new_version_drops_the_stale_entries():
+    database = generate_zipf_path(r2_tuples=200, alpha=0.8, seed=SEED)
+    singleton = parse_query("Q6(A, B) :- R1(A), R2(A, B)")
+    with Session(database) as session:
+        session.solve(QPATH_EXP, 3)
+        session.solve(singleton, 3)
+        assert len(session._curves) == 2
+        victim = min(session.evaluate(singleton).participating_refs(), key=repr)
+        session.apply_deletions([victim])
+        # The first insert at the new token evicts both old-version curves
+        # instead of pinning them until LRU eviction.
+        session.solve(singleton, 2)
+        assert len(session._curves) == 1
+        assert session.solve(QPATH_EXP, 2) == _fresh(
+            session.database, "auto", QPATH_EXP, 2, "greedy"
+        )
+        assert len(session._curves) == 2
+
+
+def test_a_shared_solver_cannot_skew_the_cached_fallback_count(monkeypatch):
+    """Another thread's ``curve()`` on the caller's solver instance resets
+    its fallback count mid-miss; the cached count must still be the miss's."""
+    database = generate_zipf_path(r2_tuples=200, alpha=0.8, seed=SEED)
+    non_full = parse_query("Qh(A) :- R1(A), R2(A, B), R3(B)")
+    full = parse_query("Qf(A, B) :- R1(A), R2(A, B), R3(B)")
+    shared = ADPSolver(heuristic="drastic")
+    expected = _fresh(database, "auto", non_full, 2, "drastic")
+    assert expected.stats["heuristic_fallbacks"] == 1
+    gate = threading.Event()
+    calls = _counting_greedy(monkeypatch, gate)
+    with Session(database) as session:
+        answers = []
+        miss = threading.Thread(
+            target=lambda: answers.append(session.solve(non_full, 2, solver=shared))
+        )
+        miss.start()
+        try:
+            # The miss has counted its drastic-to-greedy fallback and is
+            # parked in greedy; a full query resets the shared solver's count.
+            _wait_for(lambda: calls)
+            shared.curve(full, database, 1)
+        finally:
+            gate.set()
+            miss.join(timeout=60)
+        assert not miss.is_alive()
+        assert answers == [expected]
+        assert session.solve(non_full, 1, solver=shared).stats == expected.stats
+        assert session.stats.curve_cache_hits == 1
+
+
 def test_curve_ignores_and_leaves_the_cache():
     database = generate_zipf_path(r2_tuples=200, alpha=0.8, seed=SEED)
     with Session(database) as session:

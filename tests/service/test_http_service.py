@@ -438,8 +438,9 @@ def test_metrics_exposition_and_healthz(service_runner):
     try:
         database = Database.from_dict({"R1": ["A"]}, {"R1": [(1,), (2,)]})
         register(client, "demo", database)
-        client.post("/v1/solve", {"database": "demo", "query": "Q(A) :- R1(A)",
-                                  "k": 1})
+        for _ in range(2):
+            client.post("/v1/solve", {"database": "demo", "query": "Q(A) :- R1(A)",
+                                      "k": 1})
         status, text, headers = client.get("/metrics")
         assert status == 200
         assert headers["content-type"].startswith("text/plain")
@@ -448,10 +449,14 @@ def test_metrics_exposition_and_healthz(service_runner):
         assert 'endpoint="/v1/solve",status="200"' in exposition
         assert "repro_service_request_latency_ms_bucket" in exposition
         assert "repro_service_databases_resident 1" in exposition
+        assert "repro_service_curve_cache_misses_total 1" in exposition
+        assert "repro_service_curve_cache_hits_total 1" in exposition
         status, health, _ = client.get("/healthz")
         assert health["status"] == "ok"
         assert health["databases"] == 1
         assert health["metrics"]["solves_total"] >= 1
+        assert health["metrics"]["curve_cache_hits_total"] == 1
+        assert health["metrics"]["curve_cache_misses_total"] == 1
     finally:
         client.close()
 
